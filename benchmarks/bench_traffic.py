@@ -16,9 +16,10 @@ Run standalone::
 A full run writes ``BENCH_traffic.json`` at the repo root (override
 with ``--json``); smoke runs only write when ``--json`` is given.  The
 smoke gate requires the engine to clear ``SMOKE_MIN_SPEEDUP``x the
-naive driver's throughput (exit 1 otherwise); full runs additionally
-check ``FULL_MIN_SPEEDUP``x and that one seeded engine run sustained at
-least a million simulated requests.
+naive driver's throughput and to keep the bulk data plane's fallback
+share at most ``MAX_FALLBACK_SHARE`` (exit 1 otherwise); full runs
+additionally check ``FULL_MIN_SPEEDUP``x and that one seeded engine run
+sustained at least a million simulated requests.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Dict, List
 if __name__ == "__main__" and __package__ is None:  # allow running from a checkout
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro import telemetry
 from repro.bench.harness import build_rig
 from repro.workloads.traffic import NaivePollingDriver, TenantSpec, TrafficEngine
 
@@ -46,6 +48,9 @@ SCHEMA_VERSION = 1
 SMOKE_MIN_SPEEDUP = 5.0
 #: Full-run acceptance: an order of magnitude.
 FULL_MIN_SPEEDUP = 10.0
+#: Both modes: at most this share of bulk bypass ops may leave the
+#: vector path for the per-op loop (``bulk.fallback/<reason>`` counters).
+MAX_FALLBACK_SHARE = 0.01
 
 
 def _tenants(n_clients_total: int) -> List[TenantSpec]:
@@ -63,15 +68,48 @@ def _tenants(n_clients_total: int) -> List[TenantSpec]:
     ]
 
 
-def bench_engine(n_clients: int, n_requests: int, seed: int = 0) -> Dict[str, float]:
-    """One seeded engine run to ``n_requests`` offered requests."""
-    rig = build_rig()
-    engine = TrafficEngine(rig.kernel, _tenants(n_clients), seed=seed,
-                           batch_window_ns=1e6)
-    t0 = time.perf_counter()
-    report = engine.run(max_requests=n_requests)
-    wall = time.perf_counter() - t0
-    return {
+def bulk_fallback_share(counters: dict) -> float:
+    """Share of bulk bypass ops that fell back to the per-op loop.
+
+    The numerator sums the ``rack.machine`` ``bulk.fallback/<reason>``
+    counters (ops per fallen-back batch); the denominator is every
+    bypass load/store op, which the per-op loop counts too.
+    """
+    fell = ops = 0.0
+    for (_node, sub, name), value in counters.items():
+        if sub != "rack.machine":
+            continue
+        if name.startswith("bulk.fallback/"):
+            fell += value
+        elif name in ("bypass.load", "bypass.store"):
+            ops += value
+    return fell / ops if ops else 0.0
+
+
+def bench_engine(n_clients: int, n_requests: int, seed: int = 0,
+                 with_telemetry: bool = False) -> Dict[str, float]:
+    """One seeded engine run to ``n_requests`` offered requests.
+
+    ``with_telemetry`` runs it with the telemetry registry on (never
+    timed for throughput) and adds ``bulk_fallback_share``.
+    """
+    if with_telemetry:
+        telemetry.reset()
+        telemetry.enable()
+    try:
+        rig = build_rig()
+        engine = TrafficEngine(rig.kernel, _tenants(n_clients), seed=seed,
+                               batch_window_ns=1e6)
+        t0 = time.perf_counter()
+        report = engine.run(max_requests=n_requests)
+        wall = time.perf_counter() - t0
+        if with_telemetry:
+            share = bulk_fallback_share(telemetry.TELEMETRY.registry.counters)
+    finally:
+        if with_telemetry:
+            telemetry.disable()
+            telemetry.reset()
+    out = {
         "clients": n_clients,
         "requests": report.total_requests,
         "admitted": report.total_admitted,
@@ -82,6 +120,9 @@ def bench_engine(n_clients: int, n_requests: int, seed: int = 0) -> Dict[str, fl
         "events_dispatched": report.events_dispatched,
         "digest": report.digest(),
     }
+    if with_telemetry:
+        out["bulk_fallback_share"] = share
+    return out
 
 
 def bench_naive(n_clients: int, n_ticks: int, seed: int = 0) -> Dict[str, float]:
@@ -167,7 +208,9 @@ def run(smoke: bool = False) -> dict:
         multipliers = [0.5, 0.9, 1.2, 2.0, 4.0]
         sweep_requests = 100_000
     engine = bench_engine(n_clients, n_requests)
-    repeat = bench_engine(n_clients, min(n_requests, 100_000))
+    # the repeat runs with telemetry on: it must still match the check
+    # run's digest, and its counters give the bulk fallback share
+    repeat = bench_engine(n_clients, min(n_requests, 100_000), with_telemetry=True)
     check = bench_engine(n_clients, min(n_requests, 100_000))
     naive = bench_naive(n_clients, n_ticks)
     ratio = (
@@ -181,6 +224,7 @@ def run(smoke: bool = False) -> dict:
             "digests_match": repeat["digest"] == check["digest"],
             "digest": repeat["digest"],
         },
+        "bulk_fallback_share": repeat["bulk_fallback_share"],
         "naive_polling": naive,
         "speedup_vs_naive": ratio,
         "saturation_sweep": saturation_sweep(multipliers, sweep_requests),
@@ -197,6 +241,12 @@ def check_gate(report: dict, smoke: bool) -> List[str]:
         )
     if not report["engine_determinism"]["digests_match"]:
         failures.append("gate: two same-seed engine runs produced different digests")
+    share = report["bulk_fallback_share"]
+    if share > MAX_FALLBACK_SHARE:
+        failures.append(
+            f"gate: {share:.2%} of bulk ops fell back to the per-op loop "
+            f"(need <= {MAX_FALLBACK_SHARE:.0%})"
+        )
     if not smoke and report["engine"]["requests"] < 1_000_000:
         failures.append(
             f"gate: full run offered only {report['engine']['requests']} requests "
@@ -222,6 +272,7 @@ def render(report: dict) -> str:
         f"{n['ops_per_sec']:>12,.0f} req/s  ({n['clients']:,} clients, "
         f"{n['ticks']} ticks)",
         f"speedup: {report['speedup_vs_naive']}x",
+        f"bulk fallback share: {report['bulk_fallback_share']:.4f}",
         "",
         "== open-loop saturation sweep ==",
         f"capacity {report['saturation_sweep']['capacity_rps']:,.0f} req/s "
@@ -259,7 +310,10 @@ def main(argv=None) -> int:
             "speedup_vs_naive compares requests per wall second of the "
             "discrete-event open-loop engine against the per-client polling "
             "architecture it replaced, on identical tenant specs (the naive "
-            "baseline is measured on a bounded slice).  The saturation sweep "
+            "baseline is measured on a bounded slice).  The determinism repeat "
+            "runs with telemetry on; its bulk.fallback/<reason> counters give "
+            "bulk_fallback_share, the share of bulk bypass ops that left the "
+            "vector path for the per-op loop.  The saturation sweep "
             "offers multiples of the measured service capacity with a fixed "
             "backlog bound: drops engage past 1.0x while survivor p99 stays "
             "bounded.  Compare ratios, not absolute rates, across machines."

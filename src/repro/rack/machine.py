@@ -286,12 +286,16 @@ class RackMachine:
     # one coalesced fault/poison pass per region, vectorized charge
     # arithmetic (``np.add.accumulate`` is a strict left fold, so the
     # float rounding matches the sequential clock adds), and one
-    # aggregated telemetry record per batch.  Whenever a batch needs the
-    # sequential machinery to stay exact — fault injection armed for a
-    # touched region kind, poison in a touched window, overlapping
+    # aggregated telemetry record per batch.  Exact duplicate store
+    # targets stay vectorized: every op is charged and fed to the atlas,
+    # and only the last payload per address is written (last writer
+    # wins, as in the loop).  Whenever a batch needs the sequential
+    # machinery to stay exact — fault injection armed for a touched
+    # region kind, poison in a touched window, partially overlapping
     # writes, unmapped or misaligned addresses — it falls back to the
     # single-op loop, which reproduces every observable including the
-    # op index at which an error surfaces.
+    # op index at which an error surfaces.  Each fallback is counted
+    # under ``bulk.fallback/<reason>`` (see :meth:`_fallback`).
 
     def load_many(
         self,
@@ -306,6 +310,8 @@ class RackMachine:
 
         Returns one ``bytes`` per address, or a single packed buffer
         when ``concat`` is true.  Equivalent to a loop of :meth:`load`.
+        ``addrs`` may be an int sequence or a 1-D integer ndarray; an
+        ``int64`` array reaches the vector path without a copy.
         """
         n = len(addrs)
         if n == 0:
@@ -316,7 +322,7 @@ class RackMachine:
             buf = self._bulk_bypass_load(node, addrs, size)
             if buf is not None:
                 return buf if concat else _split(buf, size)
-            parts = [self.load(node_id, a, size, bypass_cache=True) for a in addrs]
+            parts = [self.load(node_id, a, size, bypass_cache=True) for a in _ints(addrs)]
         else:
             parts = self._bulk_cached_load(node, addrs, size)
         return b"".join(parts) if concat else parts
@@ -337,7 +343,9 @@ class RackMachine:
         write-side twin of ``load_many(..., concat=True)``; skips all
         per-payload bookkeeping).  Equivalent to a loop of :meth:`store`;
         per-payload batches need not share one size, though only
-        uniform-size bypass batches vectorize.
+        uniform-size bypass batches vectorize.  ``addrs`` is as for
+        :meth:`load_many`; duplicate addresses stay vectorized (last
+        writer wins), partially overlapping windows go sequential.
         """
         n = len(addrs)
         if size is not None:
@@ -365,7 +373,7 @@ class RackMachine:
             if bypass_cache and self._bulk_bypass_store(node, addrs, data):
                 return
         if bypass_cache:
-            for a, d in zip(addrs, data):
+            for a, d in zip(_ints(addrs), data):
                 self.store(node_id, a, d, bypass_cache=True)
             return
         self._bulk_cached_store(node, addrs, data)
@@ -451,11 +459,12 @@ class RackMachine:
                 # int64 wrap-around then uintN truncation == ``& _mask(width)``
                 d_arr = np.asarray(delta_seq, dtype=np.int64)
             except (TypeError, ValueError, OverflowError):
+                self._fallback(plan[0], "operand_range", n)
                 plan = None
         if plan is None:
             return [
                 self.atomic_fetch_add(node_id, a, d, width)
-                for a, d in zip(addrs, delta_seq)
+                for a, d in zip(_ints(addrs), delta_seq)
             ]
         node, groups = plan
         dtype = np.dtype(_INT_DTYPE[width])
@@ -486,7 +495,7 @@ class RackMachine:
             return []
         plan = self._bulk_atomic_plan(node_id, addrs, width)
         if plan is None:
-            return [self.atomic_load(node_id, a, width) for a in addrs]
+            return [self.atomic_load(node_id, a, width) for a in _ints(addrs)]
         node, groups = plan
         dtype = np.dtype(_INT_DTYPE[width])
         out = np.empty(n, dtype=dtype)
@@ -516,11 +525,12 @@ class RackMachine:
                 e_raw = np.asarray(expected, dtype=np.int64)
                 v_arr = np.asarray(new, dtype=np.int64)
             except (TypeError, ValueError, OverflowError):
+                self._fallback(plan[0], "operand_range", n)
                 plan = None
         if plan is None:
             return [
                 self.atomic_cas(node_id, a, e, v, width)
-                for a, e, v in zip(addrs, expected, new)
+                for a, e, v in zip(_ints(addrs), expected, new)
             ]
         node, groups = plan
         dtype = np.dtype(_INT_DTYPE[width])
@@ -822,25 +832,38 @@ class RackMachine:
         np.add.accumulate(acc, out=acc)
         node.clock._now_ns = float(acc[-1])
 
+    def _fallback(self, node: Node, reason: str, n: int) -> None:
+        """Count ``n`` ops of one batch routed to the per-op loop.
+
+        ``bulk.fallback/<reason>`` is an aggregated record (never
+        sampled, zero simulated ns) of *ops*, so its sum over reasons
+        divided by the bulk op count is the share of bulk traffic that
+        left the vector path.  The reasons are listed in DESIGN.md §10.
+        """
+        if _TEL.enabled:
+            _TEL.add(node.node_id, _SUB, "bulk.fallback/" + reason, float(n))
+
     def _bulk_plan(
         self, node: Node, addrs: Sequence[int], size: int
     ) -> Optional[List[Tuple[Region, np.ndarray, np.ndarray]]]:
         """Group a batch by region: ``[(region, op_indices, offsets)]``.
 
-        Returns ``None`` whenever only the sequential path preserves
-        exact semantics: an unmapped / foreign-local / region-straddling
-        address (the error must surface at its op index, after the prior
-        ops' side effects), fault injection armed for a touched region
-        kind (RNG draws and timestamps interleave per op), or poison
-        anywhere in a touched region's coalesced window (the raise
-        happens mid-batch with the clock mid-way).
+        ``addrs`` is an int sequence or a 1-D integer ndarray; an
+        ``int64`` array passes through without a copy.  Returns ``None``
+        (and counts the fallback) whenever only the sequential path
+        preserves exact semantics: an unmapped / foreign-local /
+        region-straddling address (the error must surface at its op
+        index, after the prior ops' side effects), fault injection armed
+        for a touched region kind (RNG draws and timestamps interleave
+        per op), or poison anywhere in a touched region's coalesced
+        window (the raise happens mid-batch with the clock mid-way).
         """
         try:
             arr = np.asarray(addrs, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
-            return None
-        if arr.ndim != 1:
-            return None
+            arr = None  # not int64-representable: no rack address
+        if arr is None or arr.ndim != 1:
+            return self._fallback(node, "unmapped_or_straddle", len(addrs))
         n = arr.shape[0]
         faults = self.faults
         if n:
@@ -852,22 +875,23 @@ class RackMachine:
             try:
                 region, _ = self.address_map.resolve(lo, 1)
             except MemoryError_:
-                return None
+                return self._fallback(node, "unmapped_or_straddle", n)
             if lo >= region.base and hi + size <= region.end:
                 if region.owner is not None and region.owner != node.node_id:
-                    return None  # ProtectionError belongs to one op index
+                    # ProtectionError belongs to one op index
+                    return self._fallback(node, "foreign_local", n)
                 if not faults.is_noop(region.owner is None):
-                    return None
+                    return self._fallback(node, "armed_faults", n)
                 base = region.base
                 if region.device.is_poisoned(lo - base, hi + size - lo):
-                    return None
+                    return self._fallback(node, "poison", n)
                 return [(region, np.arange(n, dtype=np.int64), arr - base)]
         groups: List[Tuple[Region, np.ndarray, np.ndarray]] = []
         matched = 0
         for region in self.address_map.regions:
             if region.owner is not None and region.owner != node.node_id:
                 if bool(np.any((arr >= region.base) & (arr < region.end))):
-                    return None  # ProtectionError belongs to one op index
+                    return self._fallback(node, "foreign_local", n)
                 continue
             mask = (arr >= region.base) & (arr + size <= region.end)
             idx = np.nonzero(mask)[0]
@@ -875,15 +899,16 @@ class RackMachine:
                 continue
             matched += idx.shape[0]
             if not faults.is_noop(region.owner is None):
-                return None
+                return self._fallback(node, "armed_faults", n)
             offs = arr[idx] - region.base
             lo = int(offs.min())
             span = int(offs.max()) + size - lo
             if region.device.is_poisoned(lo, span):
-                return None
+                return self._fallback(node, "poison", n)
             groups.append((region, idx, offs))
         if matched != n:
-            return None  # some address is unmapped or straddles a region
+            # some address is unmapped or straddles a region
+            return self._fallback(node, "unmapped_or_straddle", n)
         return groups
 
     def _bulk_bypass_load(
@@ -891,7 +916,7 @@ class RackMachine:
     ) -> Optional[bytes]:
         """Vectorized non-temporal gather; ``None`` means go sequential."""
         if size <= 0:
-            return None
+            return self._fallback(node, "ragged", len(addrs))
         groups = self._bulk_plan(node, addrs, size)
         if groups is None:
             return None
@@ -922,7 +947,9 @@ class RackMachine:
         size = len(data[0])
         lens = np.fromiter(map(len, data), dtype=np.int64, count=n)
         if size <= 0 or bool(np.any(lens != size)):
-            return False  # ragged sizes: each op charges its own burst
+            # ragged sizes: each op charges its own burst
+            self._fallback(node, "ragged", n)
+            return False
         groups = self._bulk_plan(node, addrs, size)
         if groups is None:
             return False
@@ -933,12 +960,13 @@ class RackMachine:
         self, node: Node, addrs: Sequence[int], packed, size: int
     ) -> bool:
         """Packed-buffer variant: no per-payload sizes to validate."""
-        groups = self._bulk_plan(node, addrs, size)
-        if groups is None:
-            return False
         try:
             rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, size)
         except (TypeError, ValueError, BufferError):
+            self._fallback(node, "ragged", len(addrs))
+            return False
+        groups = self._bulk_plan(node, addrs, size)
+        if groups is None:
             return False
         return self._bulk_scatter(node, groups, rows, size)
 
@@ -949,33 +977,48 @@ class RackMachine:
         rows: np.ndarray,
         size: int,
     ) -> bool:
-        """Charge and apply a planned scatter write; False = go sequential."""
+        """Charge and apply a planned scatter write; False = go sequential.
+
+        Within a region the target windows must be disjoint or exact
+        duplicates.  Duplicates resolve last writer wins: every op is
+        still charged in op order and fed to the atlas, but only the
+        last payload per offset is scattered — the bytes the loop
+        leaves.  ``np.unique`` over the reversed offsets gives both the
+        sorted distinct offsets (for the overlap check) and each one's
+        last writer.  Windows closer than ``size`` but not equal
+        (partial overlap) must apply in op order: go sequential.
+        """
         n = rows.shape[0]
-        for _region, idx, offs in groups:
-            if idx.shape[0] > 1:
-                # overlapping (or duplicate) target windows must apply in
-                # op order — numpy scatter order is unspecified
-                so = np.sort(offs)
-                if int((so[1:] - so[:-1]).min()) < size:
+        writes = []
+        for region, idx, offs in groups:
+            m = idx.shape[0]
+            sel = None if m == n else idx  # None: identity, scatter rows as-is
+            if m > 1:
+                uniq, first = np.unique(offs[::-1], return_index=True)
+                if uniq.shape[0] > 1 and int((uniq[1:] - uniq[:-1]).min()) < size:
+                    self._fallback(node, "partial_overlap", n)
                     return False
+                if uniq.shape[0] < m:
+                    last = (m - 1) - first  # op position of each last writer
+                    sel = last if sel is None else sel[last]
+                    offs = uniq
+            writes.append((region, offs, sel))
         charges = np.empty(n, dtype=np.float64)
         if len(groups) == 1 and groups[0][1].shape[0] == n:
-            # whole batch in one region: idx is the identity permutation
-            region, _idx, offs = groups[0]
-            charges.fill(self._bulk_ns(node, region, size))
-            # plan proved no poison in the window: per-op clear_poison
-            # would be a no-op, so skipping it is exact
-            region.device.scatter(offs, rows)
+            charges.fill(self._bulk_ns(node, groups[0][0], size))
         else:
-            for region, idx, offs in groups:
+            for region, idx, _offs in groups:
                 charges[idx] = self._bulk_ns(node, region, size)
-                region.device.scatter(offs, rows[idx])
+        # plan proved no poison in the window: per-op clear_poison would
+        # be a no-op, so skipping it is exact
+        for region, offs, sel in writes:
+            region.device.scatter(offs, rows if sel is None else rows[sel])
         self._advance_vec(node, charges)
         if _TEL.enabled:
             _TEL.add(node.node_id, _SUB, "bypass.store", float(n))
         atlas = _TEL.atlas
         if atlas is not None:
-            # plan groups carry (region, idx, offs): reconstruct addresses
+            # every op's address, duplicates included (the loop touches each)
             for region, _idx, offs in groups:
                 atlas.touch_many(region.base + offs, size)
         return True
@@ -989,6 +1032,7 @@ class RackMachine:
         (miss, multi-line, dead node), so every observable matches the
         sequential loop exactly — including the clock value any general
         -path op reads mid-batch."""
+        addrs = _ints(addrs)
         out: List[bytes] = []
         append = out.append
         node_id = node.node_id
@@ -1044,6 +1088,7 @@ class RackMachine:
         self, node: Node, addrs: Sequence[int], data: Sequence[bytes]
     ) -> None:
         """Fused cached-store loop (see :meth:`_bulk_cached_load`)."""
+        addrs = _ints(addrs)
         node_id = node.node_id
         mask = self._line_mask
         line_sz = mask + 1
@@ -1107,18 +1152,21 @@ class RackMachine:
             )
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
+            if node is not None:
+                self._fallback(node, "dead_node", len(addrs))
             return None
         try:
             arr = np.asarray(addrs, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
-            return None
-        if arr.ndim != 1:
-            return None
+            arr = None
+        if arr is None or arr.ndim != 1:
+            return self._fallback(node, "unmapped_or_straddle", len(addrs))
         if width > 1 and bool(np.any(arr % width)):
-            return None
+            return self._fallback(node, "dup_or_misaligned_atomic", len(addrs))
         srt = np.sort(arr)
         if srt.shape[0] > 1 and bool(np.any(srt[1:] == srt[:-1])):
-            return None  # duplicates: chained read-modify-writes
+            # duplicates: chained read-modify-writes
+            return self._fallback(node, "dup_or_misaligned_atomic", len(addrs))
         lines = node.cache._lines
         if lines:
             bases = srt & ~self._line_mask  # sorted, possibly repeated
@@ -1130,13 +1178,11 @@ class RackMachine:
             # membership test over the smaller side
             if len(lines) < bases.shape[0]:
                 base_set = set(bases.tolist())
-                for cached in lines:
-                    if cached in base_set:
-                        return None
+                cached = any(line in base_set for line in lines)
             else:
-                for base in bases.tolist():
-                    if base in lines:
-                        return None
+                cached = any(base in lines for base in bases.tolist())
+            if cached:
+                return self._fallback(node, "cached_atomic_line", len(addrs))
         groups = self._bulk_plan(node, arr, width)
         if groups is None:
             return None
@@ -1354,6 +1400,16 @@ class NodeContext:
 
 def _mask(width: int) -> int:
     return (1 << (8 * width)) - 1
+
+
+def _ints(addrs: Sequence[int]) -> Sequence[int]:
+    """``addrs`` as Python ints for a per-op loop.
+
+    An ndarray batch converts once with ``tolist()``, so no ``np.int64``
+    reaches a single-op path, a fault-log entry or an error message
+    (numpy's scalar ``repr`` differs from ``int``'s).
+    """
+    return addrs.tolist() if isinstance(addrs, np.ndarray) else addrs
 
 
 def _split(buf: bytes, size: int) -> List[bytes]:

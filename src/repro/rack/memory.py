@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .params import GLOBAL_BASE, LOCAL_STRIDE
 
@@ -60,7 +61,7 @@ class PhysicalMemory:
     The store is one ``bytearray`` slab; ``slab`` is a numpy ``uint8``
     view *sharing that memory*, so byte-path operations keep their cheap
     ``bytearray`` semantics while the bulk data plane gathers/scatters
-    through vectorized fancy indexing on the same bytes.
+    through a strided row view of the same bytes.
     """
 
     def __init__(self, size: int, kind: MemoryKind, name: str = "") -> None:
@@ -69,6 +70,8 @@ class PhysicalMemory:
         self._buf = bytearray(size)
         #: numpy uint8 view aliasing ``_buf`` (zero-copy; never resized).
         self.slab: np.ndarray = np.frombuffer(self._buf, dtype=np.uint8)
+        #: payload size -> strided row view of ``slab`` (see :meth:`row_view`)
+        self._row_views: Dict[int, np.ndarray] = {}
         self.size = size
         self.kind = kind
         self.name = name or kind.value
@@ -117,29 +120,41 @@ class PhysicalMemory:
             return
         self._buf[dst_offset : dst_offset + size] = src.view(src_offset, size)
 
+    def row_view(self, size: int) -> np.ndarray:
+        """Zero-copy ``(self.size - size + 1, size)`` row view of the slab.
+
+        Row ``o`` is the ``size``-byte window starting at offset ``o``:
+        an ``as_strided`` view with strides ``(1, 1)``, so consecutive
+        rows overlap and no memory is allocated.  Cached per payload
+        size — the views are free to keep, and the bulk data plane asks
+        for the same few sizes on every batch.
+        """
+        view = self._row_views.get(size)
+        if view is None:
+            view = as_strided(self.slab, (self.size - size + 1, size), (1, 1))
+            self._row_views[size] = view
+        return view
+
     def gather(self, offsets: np.ndarray, size: int) -> np.ndarray:
         """Read ``size`` bytes at each offset; returns ``(n, size)`` uint8.
 
-        One vectorized fancy-index over the slab — the scatter-gather
-        primitive the bulk data plane's bypass path is built on.  Bounds
-        are the caller's job (the machine resolves regions first).
+        One fancy-index over the strided :meth:`row_view` — the
+        scatter-gather primitive the bulk data plane's bypass path is
+        built on.  Bounds are the caller's job (the machine resolves
+        regions first).
         """
-        if size == 1:
-            return self.slab[offsets].reshape(-1, 1)
-        return self.slab[offsets[:, None] + np.arange(size, dtype=np.int64)]
+        return self.row_view(size)[offsets]
 
     def scatter(self, offsets: np.ndarray, rows: np.ndarray) -> None:
         """Write ``rows[i]`` (uint8 vectors) at ``offsets[i]``, vectorized.
 
-        Target windows must not overlap — numpy leaves duplicate
-        fancy-index assignment order unspecified, so the machine routes
-        overlapping batches through the sequential path instead.
+        One fancy-index assignment into the strided :meth:`row_view`.
+        Target windows must not overlap — numpy leaves the order of
+        overlapping fancy-index writes unspecified — so the machine
+        reduces exact duplicates to their last writer and routes
+        partially overlapping batches through the sequential path.
         """
-        size = rows.shape[1]
-        if size == 1:
-            self.slab[offsets] = rows[:, 0]
-        else:
-            self.slab[offsets[:, None] + np.arange(size, dtype=np.int64)] = rows
+        self.row_view(rows.shape[1])[offsets] = rows
 
     def flip_bit(self, offset: int, bit: int) -> None:
         """Corrupt one bit in place (fault injection)."""

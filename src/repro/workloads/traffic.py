@@ -187,7 +187,8 @@ class DataPlaneBackend:
     Each tenant gets ``n_keys * value_size`` bytes of global memory
     (its namespace); key ``k`` lives at ``slab + k*value_size``.  A
     batch becomes one ``load_many`` for the GETs and one packed
-    ``store_many`` for the SETs — the PR-6 vectorized paths.
+    ``store_many`` for the SETs on the vectorized bulk paths, with the
+    ``int64`` address arrays passed through as they are.
     """
 
     #: the slab lives in *global* memory, so any live node can serve the
@@ -233,10 +234,10 @@ class DataPlaneBackend:
         gets = addrs[is_get]
         sets = addrs[~is_get]
         if len(gets):
-            ctx.load_many(gets.tolist(), size, bypass_cache=True, concat=True)
+            ctx.load_many(gets, size, bypass_cache=True, concat=True)
         if len(sets):
             payload = values[key_idx[~is_get]].tobytes()
-            ctx.store_many(sets.tolist(), payload, size=size, bypass_cache=True)
+            ctx.store_many(sets, payload, size=size, bypass_cache=True)
         return len(key_idx) * size
 
 

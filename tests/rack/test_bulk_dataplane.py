@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.rack import RackConfig, RackMachine, UncorrectableMemoryError
+from repro.bench.harness import build_rig
+from repro.rack import NodeCrashedError, RackConfig, RackMachine, UncorrectableMemoryError
 from repro.rack.machine import RackMachine as _RM  # noqa: F401 (import sanity)
-from repro.rack.memory import MemoryError_
+from repro.rack.memory import MemoryError_, MemoryKind, PhysicalMemory
 from repro.rack.params import FaultModel
+from repro.workloads.traffic import TenantSpec, TrafficEngine
 
 LINE = 64
 GSIZE = 1 << 16
@@ -86,7 +89,7 @@ def _apply(fn):
     """Run ``fn``, capturing a raised error as a comparable value."""
     try:
         return ("ok", fn())
-    except (MemoryError_, ValueError) as e:
+    except (MemoryError_, ValueError, NodeCrashedError) as e:
         return ("err", type(e).__name__, str(e))
 
 
@@ -376,3 +379,253 @@ def test_load_many_concat_and_empty():
         m.atomic_fetch_add_many(0, [g], [1, 2])
     with pytest.raises(ValueError):
         m.atomic_cas_many(0, [g, g + 8], [1], [2, 3])
+
+
+# -- duplicate targets: last writer wins on the vector path ---------------------
+
+
+@pytest.fixture
+def registry():
+    """Telemetry on for one test; yields the (cleared) registry."""
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        yield telemetry.TELEMETRY.registry
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+
+
+def _fallbacks(reg) -> dict:
+    return {
+        name: v for (_n, _sub, name), v in reg.counters.items()
+        if name.startswith("bulk.fallback/")
+    }
+
+
+def _dup_batch(rng: random.Random, m: RackMachine, n: int, size: int) -> list:
+    """``n`` draws over six disjoint ``size``-byte slots in both regions,
+    so most targets repeat (pigeonhole: ``n > 6`` forces a duplicate)."""
+    g = m.global_base
+    loc = m.local_base(0)
+    slots = [g + k * size for k in rng.sample(range(GSIZE // size), 4)]
+    slots += [loc + k * size for k in rng.sample(range(LSIZE // size), 2)]
+    return [rng.choice(slots) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("packed", [False, True])
+def test_duplicate_store_batches_stay_vectorized_and_exact(seed, packed, registry):
+    """Duplicate-heavy batches with a distinct payload per duplicate
+    match the single-op loop in bytes, clocks, fault log and counters,
+    and never touch the per-op ``store``."""
+    ma, mb = _pair(seed)
+    rng = random.Random(seed * 53 + 11)
+    for batch in range(6):
+        size = rng.choice([1, 8, 64, 100])
+        n = rng.randrange(8, 60)
+        addrs = _dup_batch(rng, ma, n, size)
+        if batch % 2:
+            addrs = [a for a in addrs if a >= ma.global_base] or addrs  # one region
+        assert len(set(addrs)) < len(addrs)
+        # first byte 7*i mod 256 is distinct for every i < 256
+        data = [bytes((7 * i + j) % 256 for j in range(size)) for i in range(len(addrs))]
+        calls = []
+        ma.store = lambda *a, **kw: calls.append(a)  # spy: the loop must not run
+        try:
+            if packed:
+                ma.store_many(0, addrs, b"".join(data), bypass_cache=True, size=size)
+            else:
+                ma.store_many(0, addrs, data, bypass_cache=True)
+        finally:
+            del ma.store
+        assert calls == []
+        a_ctrs = dict(registry.counters)
+        registry.clear()
+        for a, d in zip(addrs, data):
+            mb.store(0, a, d, bypass_cache=True)
+        assert dict(registry.counters) == a_ctrs
+        registry.clear()
+        assert _state(ma) == _state(mb)
+
+
+def test_partial_overlap_still_falls_back(registry):
+    ma, mb = _pair(0)
+    g = ma.global_base
+    addrs = [g, g + 32, g + 256, g + 32]  # g and g+32 overlap at 64 B
+    data = [bytes([i + 1]) * 64 for i in range(len(addrs))]
+    ma.store_many(0, addrs, data, bypass_cache=True)
+    assert _fallbacks(registry) == {"bulk.fallback/partial_overlap": 4.0}
+    for a, d in zip(addrs, data):
+        mb.store(0, a, d, bypass_cache=True)
+    assert _state(ma) == _state(mb)
+
+
+@pytest.mark.parametrize("size", [1, 64, 100, 4096])
+def test_row_view_gather_scatter_edges(size):
+    """Strided row view: size 1, a payload ending at the device's last
+    byte, and odd/large payloads all read and write the exact bytes."""
+    mem = PhysicalMemory(3 * 4096, MemoryKind.GLOBAL)
+    rng = np.random.default_rng(size)
+    mem.slab[:] = rng.integers(0, 256, mem.size, dtype=np.uint8)
+    last = mem.size - size  # payload ends at the device's last byte
+    offs = np.array([last, 0, size * (mem.size // size // 2)], dtype=np.int64)
+    got = mem.gather(offs, size)
+    assert got.shape == (3, size)
+    assert [r.tobytes() for r in got] == [mem.read(o, size) for o in offs.tolist()]
+    rows = rng.integers(0, 256, (3, size), dtype=np.uint8)
+    want = bytearray(mem._buf)
+    for o, r in zip(offs.tolist(), rows):
+        want[o : o + size] = r.tobytes()
+    mem.scatter(offs, rows)
+    assert bytes(mem._buf) == bytes(want)
+    view = mem.row_view(size)
+    assert view is mem.row_view(size) and np.shares_memory(view, mem.slab)
+    # through the machine: the last global window, duplicated, and the first
+    ma, mb = _pair(0)
+    g = ma.global_base
+    addrs = [g + GSIZE - size, g, g + GSIZE - size]
+    data = [bytes([i + 1]) * size for i in range(3)]
+    ma.store_many(0, addrs, data, bypass_cache=True)
+    for a, d in zip(addrs, data):
+        mb.store(0, a, d, bypass_cache=True)
+    assert _state(ma) == _state(mb)
+    assert ma.load_many(0, addrs, size, bypass_cache=True) == [data[2], data[1], data[2]]
+
+
+# -- fallback reasons -------------------------------------------------------------
+
+
+_ARMED = FaultModel(global_ce_rate=0.5)
+
+
+def _force(reason: str, m: RackMachine):
+    """A batch that must leave the vector path for ``reason``; returns
+    ``(n_ops, thunk)``."""
+    g = m.global_base
+    pair = [g, g + 64]
+    eight = [b"\xab" * 8] * 2
+    if reason == "unmapped_or_straddle":
+        return 2, lambda: m.store_many(0, [g, g + GSIZE - 4], eight, bypass_cache=True)
+    if reason == "foreign_local":
+        return 2, lambda: m.load_many(0, [g, m.local_base(1)], 8, bypass_cache=True)
+    if reason == "armed_faults":
+        return 2, lambda: m.load_many(0, pair, 8, bypass_cache=True)
+    if reason == "poison":
+        m.global_mem.poison(64 + 3)
+        return 2, lambda: m.load_many(0, pair, 8, bypass_cache=True)
+    if reason == "partial_overlap":
+        return 2, lambda: m.store_many(0, [g, g + 4], eight, bypass_cache=True)
+    if reason == "ragged":
+        return 2, lambda: m.store_many(0, pair, [b"x" * 8, b"y" * 16], bypass_cache=True)
+    if reason == "dup_or_misaligned_atomic":
+        return 3, lambda: m.atomic_fetch_add_many(0, [g, g + 8, g], 1)
+    if reason == "misaligned":
+        return 2, lambda: m.atomic_load_many(0, [g, g + 3])
+    if reason == "cached_atomic_line":
+        m.load(0, g, 8)
+        return 2, lambda: m.atomic_load_many(0, pair)
+    if reason == "dead_node":
+        m.crash_node(0)
+        return 2, lambda: m.atomic_load_many(0, pair)
+    if reason == "operand_range":
+        return 2, lambda: m.atomic_fetch_add_many(0, [g, g + 8], 1 << 70)
+    raise AssertionError(reason)
+
+
+@pytest.mark.parametrize(
+    "reason",
+    [
+        "unmapped_or_straddle", "foreign_local", "armed_faults", "poison",
+        "partial_overlap", "ragged", "dup_or_misaligned_atomic", "misaligned",
+        "cached_atomic_line", "dead_node", "operand_range",
+    ],
+)
+def test_each_fallback_reason_is_counted_and_free(reason):
+    """Every sequential fallback bumps exactly its ``bulk.fallback/``
+    counter by the batch's op count, and the run is bit-identical —
+    clocks included — with telemetry off."""
+    faults = _ARMED if reason == "armed_faults" else None
+    counter = "bulk.fallback/" + (
+        "dup_or_misaligned_atomic" if reason == "misaligned" else reason
+    )
+    runs = []
+    for enabled in (True, False):
+        telemetry.reset()
+        if enabled:
+            telemetry.enable()
+        try:
+            m = RackMachine(_config(3, faults))
+            n, thunk = _force(reason, m)
+            result = _apply(thunk)
+            if enabled:
+                assert _fallbacks(telemetry.TELEMETRY.registry) == {counter: float(n)}
+            runs.append((result, _state(m)))
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+    assert runs[0] == runs[1]
+
+
+def test_traffic_digest_and_clocks_identical_with_telemetry_on_and_off():
+    """A duplicate-heavy open-loop run (64 keys, ~100 requests a batch)
+    keeps every batch on the vector path and is identical with
+    telemetry on and off."""
+    def run(enabled: bool):
+        telemetry.reset()
+        if enabled:
+            telemetry.enable()
+        try:
+            rig = build_rig()
+            tenants = [
+                TenantSpec(name="web", rate_rps=200_000.0, n_clients=5_000, node=0,
+                           n_keys=64),
+                TenantSpec(name="batch", rate_rps=100_000.0, n_clients=5_000, node=1,
+                           get_ratio=0.5, n_keys=64),
+            ]
+            engine = TrafficEngine(rig.kernel, tenants, seed=7, batch_window_ns=500_000.0)
+            report = engine.run(max_requests=10_000)
+            clocks = [n.clock.now_ns for n in rig.machine.nodes.values()]
+            return report.digest(), clocks, _fallbacks(telemetry.TELEMETRY.registry)
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+
+    digest_on, clocks_on, fallbacks = run(True)
+    digest_off, clocks_off, _ = run(False)
+    assert (digest_on, clocks_on) == (digest_off, clocks_off)
+    assert fallbacks == {}
+
+
+# -- ndarray batches on the sequential branches -----------------------------------
+
+
+@pytest.mark.parametrize("case", ["armed_faults", "poison", "straddle"])
+@pytest.mark.parametrize("op", ["load", "store", "cached_load", "cached_store"])
+def test_ndarray_fallback_matches_list(case, op):
+    """An ndarray batch that falls back leaves the same state, fault log
+    (down to ``repr``: no ``np.int64`` leaks into it) and error as the
+    same batch passed as a list."""
+    faults = FaultModel(global_ce_rate=0.3, global_ue_rate=0.1) if case == "armed_faults" else None
+    ma, mb = _pair(1, faults)
+    g = ma.global_base
+    addrs = [g + i * LINE for i in range(16)]
+    if case == "straddle":
+        addrs[9] = g + GSIZE - 4
+    if case == "poison":
+        for m in (ma, mb):
+            m.global_mem.poison(9 * LINE + 3)
+    bypass = not op.startswith("cached")
+    data = [bytes([i]) * 8 for i in range(len(addrs))]
+
+    def go(m, batch):
+        if op.endswith("load"):
+            return m.load_many(0, batch, 8, bypass_cache=bypass)
+        return m.store_many(0, batch, data, bypass_cache=bypass)
+
+    ra = _apply(lambda: go(ma, np.array(addrs, dtype=np.int64)))
+    rb = _apply(lambda: go(mb, addrs))
+    assert ra == rb
+    assert repr(_state(ma)) == repr(_state(mb))
+    if case == "straddle" or (case == "poison" and op != "store"):
+        assert ra[0] == "err"  # bypass stores clear poison instead
