@@ -29,6 +29,12 @@ from .metadata import FileNotFound, FsError, Inode, IsADirectory, MetadataStore
 from .page_cache import PAGE_SIZE, SharedPageCache
 
 
+def _check_offset(offset: int) -> None:
+    """Reject a negative file offset before the call charges anything."""
+    if offset < 0:
+        raise ValueError(f"file offset must be non-negative, got {offset}")
+
+
 @dataclass
 class OpenFile:
     fd: int
@@ -139,6 +145,7 @@ class FlacFS:
         per leaf node) — the common case for spills and image layers.
         """
         handle = self._handle(fd)
+        _check_offset(offset)
         ctx.advance(self.costs.syscall_ns)
         pos = 0
         while pos < len(data):
@@ -167,6 +174,7 @@ class FlacFS:
 
     def read(self, ctx: NodeContext, fd: int, offset: int, size: int) -> bytes:
         handle = self._handle(fd)
+        _check_offset(offset)
         ctx.advance(self.costs.syscall_ns)
         inode = self.metadata.lookup(ctx, handle.path)
         size = max(0, min(size, inode.size - offset))

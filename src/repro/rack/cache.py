@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Tuple
 
 
 @dataclass
@@ -67,16 +67,6 @@ class NodeCache:
     def line_base(self, addr: int) -> int:
         return addr & ~(self.line_size - 1)
 
-    def lines_spanning(self, addr: int, size: int) -> Iterator[int]:
-        """Yield the base address of every line touched by [addr, addr+size)."""
-        if size <= 0:
-            return
-        base = self.line_base(addr)
-        end = addr + size
-        while base < end:
-            yield base
-            base += self.line_size
-
     # -- core operations ---------------------------------------------------
 
     def load(self, addr: int, size: int) -> Tuple[bytes, int, int]:
@@ -99,23 +89,31 @@ class NodeCache:
             self._insert(base, line)
             self.stats.misses += 1
             return bytes(line.data[lo : lo + size]), 0, 1
-        out = bytearray(size)
-        out_view = memoryview(out)
+        # multi-line span: one pass over the line bases with the hit/miss
+        # probe inlined.  Each part is copied as its line is visited, so
+        # the bytes returned are those the lines held at that moment.
+        lines = self._lines
+        get = lines.get
+        move = lines.move_to_end
+        read_backing = self._read_backing
+        parts = []
+        append = parts.append
         hits = misses = 0
-        pos = 0
-        for base in self.lines_spanning(addr, size):
-            line, was_hit = self._get_line(base, fill_on_miss=True)
-            if was_hit:
+        for line_base in range(base, addr + size, line_size):
+            line = get(line_base)
+            if line is not None:
+                move(line_base)
                 hits += 1
+                append(bytes(line.data))
             else:
+                raw = read_backing(line_base, line_size)
+                self._insert(line_base, _Line(bytearray(raw)))
                 misses += 1
-            lo = max(addr, base) - base
-            hi = min(addr + size, base + line_size) - base
-            out_view[pos : pos + (hi - lo)] = memoryview(line.data)[lo:hi]
-            pos += hi - lo
+                append(raw)
         self.stats.hits += hits
         self.stats.misses += misses
-        return bytes(out), hits, misses
+        lo = addr - base
+        return b"".join(parts)[lo : lo + size], hits, misses
 
     def store(self, addr: int, data: bytes) -> Tuple[int, int, int]:
         """Write into the cache (write-allocate).
@@ -133,7 +131,7 @@ class NodeCache:
         base = addr & ~(line_size - 1)
         if addr + size <= base + line_size:
             # fast path: single-line store (hit, full-line allocate, or
-            # partial-line fetch) without the generator machinery.
+            # partial-line fetch) without the span loop.
             lines = self._lines
             line = lines.get(base)
             lo = addr - base
@@ -153,22 +151,31 @@ class NodeCache:
             line.dirty = True
             self.stats.misses += 1
             return 0, 1, 0
+        # multi-line span: as in load, one pass with the probe inlined
+        lines = self._lines
+        get = lines.get
+        move = lines.move_to_end
+        end = addr + size
         hits = misses = allocs = 0
         pos = 0
         src = memoryview(data)
-        for base in self.lines_spanning(addr, size):
-            lo = max(addr, base) - base
-            hi = min(addr + size, base + line_size) - base
-            full_line = lo == 0 and hi == line_size
-            if full_line and base not in self._lines:
-                self._insert(base, _Line(bytearray(src[pos : pos + line_size]), dirty=True))
+        for line_base in range(base, end, line_size):
+            lo = addr - line_base if line_base < addr else 0
+            hi = end - line_base if end < line_base + line_size else line_size
+            line = get(line_base)
+            if line is not None:
+                move(line_base)
+                hits += 1
+            elif hi - lo == line_size:
+                self._insert(
+                    line_base, _Line(bytearray(src[pos : pos + line_size]), dirty=True)
+                )
                 allocs += 1
                 pos += line_size
                 continue
-            line, was_hit = self._get_line(base, fill_on_miss=True)
-            if was_hit:
-                hits += 1
             else:
+                line = _Line(bytearray(self._read_backing(line_base, line_size)))
+                self._insert(line_base, line)
                 misses += 1
             line.data[lo:hi] = src[pos : pos + (hi - lo)]
             line.dirty = True
@@ -182,9 +189,13 @@ class NodeCache:
 
         Returns the number of lines written back.  Models ``dc cvac``.
         """
+        if size <= 0:
+            return 0
+        line_size = self.line_size
+        get = self._lines.get
         written = 0
-        for base in self.lines_spanning(addr, size):
-            line = self._lines.get(base)
+        for base in range(addr & ~(line_size - 1), addr + size, line_size):
+            line = get(base)
             if line is not None and line.dirty:
                 self._write_backing(base, bytes(line.data))
                 line.dirty = False
@@ -199,9 +210,13 @@ class NodeCache:
         instruction.  Protocols that must not lose writes use
         :meth:`flush_invalidate`.
         """
+        if size <= 0:
+            return 0
+        line_size = self.line_size
+        pop = self._lines.pop
         dropped = 0
-        for base in self.lines_spanning(addr, size):
-            if self._lines.pop(base, None) is not None:
+        for base in range(addr & ~(line_size - 1), addr + size, line_size):
+            if pop(base, None) is not None:
                 dropped += 1
         self.stats.invalidations += dropped
         return dropped
@@ -242,16 +257,6 @@ class NodeCache:
         return len(self._lines)
 
     # -- internals -----------------------------------------------------------
-
-    def _get_line(self, base: int, fill_on_miss: bool) -> Tuple[_Line, bool]:
-        line = self._lines.get(base)
-        if line is not None:
-            self._lines.move_to_end(base)
-            return line, True
-        data = bytearray(self._read_backing(base, self.line_size))
-        line = _Line(data)
-        self._insert(base, line)
-        return line, False
 
     def _insert(self, base: int, line: _Line) -> None:
         while len(self._lines) >= self.capacity_lines:

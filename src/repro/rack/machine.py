@@ -44,7 +44,13 @@ from . import topology as topo
 from ..telemetry import TELEMETRY as _TEL
 
 
-_INT_FMT = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+#: Per-width precompiled codecs the single atomics apply to the device slab.
+_INT_STRUCT = {
+    1: struct.Struct("<B"),
+    2: struct.Struct("<H"),
+    4: struct.Struct("<I"),
+    8: struct.Struct("<Q"),
+}
 _INT_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 #: Telemetry subsystem for the data plane (metric naming convention:
@@ -85,6 +91,8 @@ class RackMachine:
         # a built machine (LatencyModel is fixed at construction).
         self._line_mask = cfg.cache_line_size - 1
         self._hit_ns = cfg.latency.cache_hit_ns
+        self._global_atomic_ns = cfg.latency.global_atomic_ns
+        self._local_atomic_ns = cfg.latency.local_atomic_ns
         # Software TLB: per-node memo of the last region resolved, dropped
         # when the address map's generation moves.
         self._tlb: Dict[int, Tuple[int, int, Region]] = {}
@@ -246,36 +254,36 @@ class RackMachine:
         copy of the line is invalidated so subsequent cached loads observe
         the device value.
         """
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        current = struct.unpack(fmt, region.device.read(offset, width))[0]
+        buf, offset, st = self._atomic_prologue(node_id, addr, width)
+        current = st.unpack_from(buf, offset)[0]
         swapped = current == expected
         if swapped:
-            region.device.write(offset, struct.pack(fmt, new & _mask(width)))
+            st.pack_into(buf, offset, new & _mask(width))
         return swapped, current
 
     def atomic_fetch_add(self, node_id: int, addr: int, delta: int, width: int = 8) -> int:
         """Atomically add ``delta`` (wrapping); returns the *old* value."""
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        current = struct.unpack(fmt, region.device.read(offset, width))[0]
-        region.device.write(offset, struct.pack(fmt, (current + delta) & _mask(width)))
+        buf, offset, st = self._atomic_prologue(node_id, addr, width)
+        current = st.unpack_from(buf, offset)[0]
+        st.pack_into(buf, offset, (current + delta) & _mask(width))
         return current
 
     def atomic_swap(self, node_id: int, addr: int, new: int, width: int = 8) -> int:
         """Atomically exchange; returns the old value."""
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        current = struct.unpack(fmt, region.device.read(offset, width))[0]
-        region.device.write(offset, struct.pack(fmt, new & _mask(width)))
+        buf, offset, st = self._atomic_prologue(node_id, addr, width)
+        current = st.unpack_from(buf, offset)[0]
+        st.pack_into(buf, offset, new & _mask(width))
         return current
 
     def atomic_load(self, node_id: int, addr: int, width: int = 8) -> int:
         """Coherent (cache-bypassing) integer load."""
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        return struct.unpack(fmt, region.device.read(offset, width))[0]
+        buf, offset, st = self._atomic_prologue(node_id, addr, width)
+        return st.unpack_from(buf, offset)[0]
 
     def atomic_store(self, node_id: int, addr: int, value: int, width: int = 8) -> None:
         """Coherent (cache-bypassing) integer store."""
-        node, region, offset, fmt = self._atomic_prologue(node_id, addr, width)
-        region.device.write(offset, struct.pack(fmt, value & _mask(width)))
+        buf, offset, st = self._atomic_prologue(node_id, addr, width)
+        st.pack_into(buf, offset, value & _mask(width))
 
     # -- bulk data plane (DESIGN.md §10) -----------------------------------------------
     #
@@ -725,8 +733,53 @@ class RackMachine:
         return region, offset
 
     def _atomic_prologue(self, node_id: int, addr: int, width: int):
-        if width not in _INT_FMT:
-            raise ValueError(f"atomic width must be one of {sorted(_INT_FMT)}, got {width}")
+        """Check, charge and count one atomic; returns ``(buf, offset, st)``.
+
+        ``buf`` is the target device's byte slab, ``offset`` the target's
+        position in it (resolved, so in bounds) and ``st`` the width's
+        precompiled :class:`struct.Struct`.
+
+        Fast path: a known, aligned width that fits in one cache line, on
+        a live node whose current TLB entry covers the target.  Resolve
+        would return that entry unchanged, the target sits in exactly one
+        line, and the fault roll and poison check are skipped only when
+        they are no-ops — so every observable matches the general path.
+        """
+        st = _INT_STRUCT.get(width)
+        if st is not None and not addr % width and width <= self.line_size:
+            node = self.nodes.get(node_id)
+            entry = self._tlb.get(node_id)
+            if (
+                node is not None
+                and node.alive
+                and entry is not None
+                and self.address_map.generation == self._tlb_gen
+            ):
+                base, end, region = entry
+                if base <= addr and addr + width <= end:
+                    is_global = region.owner is None
+                    node.clock._now_ns += (
+                        self._global_atomic_ns if is_global else self._local_atomic_ns
+                    )
+                    if _TEL.enabled:
+                        _TEL.count(
+                            node_id, _SUB, "atomic.global" if is_global else "atomic.local"
+                        )
+                    if _TEL.atlas is not None:
+                        _TEL.atlas.touch(addr, width)
+                    # == node.cache.invalidate(addr, width): one line
+                    cache = node.cache
+                    if cache._lines.pop(addr & ~self._line_mask, None) is not None:
+                        cache.stats.invalidations += 1
+                    offset = addr - base
+                    device = region.device
+                    if not self.faults.is_noop(is_global):
+                        self._maybe_fault(region, offset, width, node_id)
+                    if device.poisoned:
+                        self._check_poison(region, offset, width, node_id)
+                    return device._buf, offset, st
+        if width not in _INT_STRUCT:
+            raise ValueError(f"atomic width must be one of {sorted(_INT_STRUCT)}, got {width}")
         if addr % width:
             raise ValueError(f"atomic access at {addr:#x} not {width}-byte aligned")
         node, region, offset = self._access(node_id, addr, width)
@@ -741,7 +794,7 @@ class RackMachine:
         node.cache.invalidate(addr, width)
         self._maybe_fault(region, offset, width, node_id)
         self._check_poison(region, offset, width, node_id)
-        return node, region, offset, _INT_FMT[width]
+        return region.device._buf, offset, _INT_STRUCT[width]
 
     def _path_cost(self, node_id: int, region: Region) -> Tuple[int, int]:
         if not region.is_global:
@@ -1148,7 +1201,7 @@ class RackMachine:
         """
         if width not in _INT_DTYPE:
             raise ValueError(
-                f"atomic width must be one of {sorted(_INT_FMT)}, got {width}"
+                f"atomic width must be one of {sorted(_INT_STRUCT)}, got {width}"
             )
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
@@ -1271,6 +1324,17 @@ class RackMachine:
 
     def _make_backing_reader(self, node_id: int):
         def read_backing(addr: int, size: int) -> bytes:
+            # short-circuit: a current TLB entry covers the fill, no fault
+            # can fire for the region kind and the device holds no poison,
+            # so the general path below would return exactly this slice
+            entry = self._tlb.get(node_id)
+            if entry is not None and self.address_map.generation == self._tlb_gen:
+                base, end, region = entry
+                if base <= addr and addr + size <= end:
+                    device = region.device
+                    if not device.poisoned and self.faults.is_noop(region.owner is None):
+                        offset = addr - base
+                        return device._buf[offset : offset + size]
             region, offset = self._resolve_fast(node_id, addr, size)
             self._maybe_fault(region, offset, size, node_id)
             self._check_poison(region, offset, size, node_id)

@@ -117,8 +117,10 @@ class RackConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("rack needs at least one node")
-        if self.cache_line_size & (self.cache_line_size - 1):
-            raise ValueError("cache_line_size must be a power of two")
+        if self.cache_line_size <= 0 or self.cache_line_size & (self.cache_line_size - 1):
+            raise ValueError("cache_line_size must be a positive power of two")
+        if self.cache_lines < 1:
+            raise ValueError("cache_lines must be at least 1")
         if self.local_mem_size % self.cache_line_size:
             raise ValueError("local_mem_size must be line aligned")
         if self.global_mem_size % self.cache_line_size:

@@ -120,6 +120,18 @@ class TestDataPath:
         fs.write(c1, fd1, 3, b"BBB")
         assert fs.read(c0, fd, 0, 10) == b"aaaBBBaaaa"
 
+    def test_negative_offset_rejected_before_any_charge(self, rack2, fs):
+        _, c0, _, _ = rack2
+        fd = fs.open(c0, "/neg", create=True)
+        fs.write(c0, fd, 0, b"abc")
+        before = c0.now()
+        with pytest.raises(ValueError, match="non-negative"):
+            fs.read(c0, fd, -1, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            fs.write(c0, fd, -PAGE_SIZE, b"x")
+        assert c0.now() == before
+        assert fs.read(c0, fd, 0, 3) == b"abc"
+
     def test_bad_fd(self, rack2, fs):
         _, c0, _, _ = rack2
         with pytest.raises(FsError):

@@ -203,8 +203,11 @@ class TestFaultsAndCrashes:
 
 class TestConfigValidation:
     def test_bad_line_size_rejected(self):
-        with pytest.raises(ValueError):
-            RackConfig(cache_line_size=48)
+        # 0 passes the power-of-two bit test; both zeros must still be
+        # rejected at construction, not by a later ZeroDivisionError
+        for bad in ({"cache_line_size": 48}, {"cache_line_size": 0}, {"cache_lines": 0}):
+            with pytest.raises(ValueError):
+                RackConfig(**bad)
 
     def test_needs_a_node(self):
         with pytest.raises(ValueError):
