@@ -120,7 +120,6 @@ class CampaignRunner:
         steps: int = 32,
         invariants: Sequence[Callable[["CampaignRunner"], Optional[str]]] = (),
         heal: bool = True,
-        scrub_bytes_per_step: int = 1 << 20,
     ) -> CampaignReport:
         rng = random.Random(campaign.seed)
         pending = list(campaign.events)
@@ -150,7 +149,7 @@ class CampaignRunner:
                 fired = FiredEvent(step=step, at_ns=now, action=ev.action, detail=detail)
                 report.fired.append(fired)
                 lines.append(fired.line())
-            self._background_turn(ctx, step, heal, scrub_bytes_per_step, lines)
+            self._background_turn(ctx, step, heal, lines)
             report.steps_run = step + 1
 
         # Invariants run with injection masked: a probe read must not
@@ -175,40 +174,16 @@ class CampaignRunner:
         report.journal = "\n".join(lines) + "\n"
         return report
 
-    def _background_turn(self, ctx, step: int, heal: bool,
-                         scrub_bytes: int, lines: List[str]) -> None:
-        """Give the background daemons their turn after a workload step.
-
-        With a kernel event core available, the scrubber quantum and the
-        health tick are *events on the shared heap* — the same heap that
-        chaos-under-load campaigns and the traffic engine pump — rather
-        than direct per-step calls.  Dispatch order (heal, then health)
-        is the insertion order, so journals are unchanged.  Without a
-        kernel core (machine-only runners) the calls stay direct.
-        """
-        events = getattr(self.kernel, "events", None)
-
-        def _heal() -> None:
-            if heal and ctx is not None:
-                self._heal_step(ctx, scrub_bytes)
-
-        def _health() -> None:
-            if self.health is not None:
-                for health_line in self.health.tick(self.machine.max_time()):
-                    lines.append(f"step={step} {health_line}")
-
-        if events is None:
-            _heal()
-            _health()
-            return
-        events.at(events.now_ns, _heal)
-        events.at(events.now_ns, _health)
-        events.run(until_ns=events.now_ns)
-
-    def _heal_step(self, ctx, scrub_bytes: int) -> None:
+    def _background_turn(self, ctx, step: int, heal: bool, lines: List[str]) -> None:
+        """Give the background daemons their turn after a workload step:
+        one scrubber quantum (heal), then a health tick whose transition
+        lines go to the journal."""
         scrubber = getattr(self.kernel, "scrubber", None)
-        if scrubber is not None:
-            scrubber.step(ctx, max_bytes=scrub_bytes)
+        if heal and scrubber is not None:
+            scrubber.step(ctx)
+        if self.health is not None:
+            for health_line in self.health.tick(self.machine.max_time()):
+                lines.append(f"step={step} {health_line}")
 
     # -- applying events -----------------------------------------------------------
 

@@ -53,6 +53,10 @@ from .events import EventCore
 from .params import OsCosts
 from .sched import RackScheduler
 
+#: bytes of global memory one patrol-scrub quantum walks (the idle
+#: loop's per-tick scrub and chaos-under-load's control event)
+PATROL_SCRUB_BYTES = 1 << 18
+
 
 @dataclass
 class NodeOS:
@@ -95,12 +99,9 @@ class NodeOS:
         self.kernel.fs.writeback_daemon_step(self.ctx, limit=16)
         self.kernel.fs.reclaimer.advance_and_reclaim(self.ctx)
         # patrol scrub: node 0 walks one window of global memory per tick
-        # so latent poison is found/repaired before a consumer trips on
-        # it.  When the kernel's patrols run on the event heap
-        # (start_patrols), the tick-driven copy stands down — one loop,
-        # one heap.
-        if self.node_id == 0 and not self.kernel.patrols:
-            self.kernel.scrubber.step(self.ctx, max_bytes=1 << 18)
+        # so latent poison is found/repaired before a consumer trips on it
+        if self.node_id == 0:
+            self.kernel.scrubber.step(self.ctx, max_bytes=PATROL_SCRUB_BYTES)
 
 
 class FlacOS:
@@ -193,22 +194,19 @@ class FlacOS:
         self.devices = DeviceRegistry(self.registry, self.ipc.buffers)
         self.bootrom = BootRom(self.arena.take(1 << 16, align=64))
         self.bootrom.publish(boot_ctx, rack_description(machine))
+        #: rack-wide discrete-event core; subsystems register wake-ups
+        #: instead of being polled every tick
+        self.events = EventCore(machine)
         self.scheduler = RackScheduler(
             machine,
             self.arena.take(RackScheduler.ctrl_size(len(machine.nodes)), align=8),
             ring_alloc=self.ipc.heap.alloc,
+            events=self.events,
             costs=self.costs,
         )
-        #: rack-wide discrete-event core; subsystems register wake-ups
-        #: instead of being polled every tick
-        self.events = EventCore(machine)
-        self.scheduler.bind_events(self.events)
 
         # active health (repro.telemetry.health); opt-in via attach_health
         self.health = None
-        #: recurring EventCore handles armed by start_patrols (empty ->
-        #: the tick-driven loops in NodeOS.idle_tick keep running)
-        self.patrols: list = []
 
         self._node_os: Dict[int, NodeOS] = {
             node_id: NodeOS(self, machine.context(node_id)) for node_id in machine.nodes
@@ -234,59 +232,6 @@ class FlacOS:
             kwargs.setdefault("recovery", self.recovery)
             self.health = HealthEngine(self.machine, **kwargs).install()
         return self.health
-
-    def start_patrols(
-        self,
-        scrub_period_ns: float = 1e6,
-        scrub_bytes: int = 1 << 18,
-        health_period_ns: Optional[float] = None,
-        sink=None,
-    ) -> list:
-        """Move the polled daemon loops onto the discrete-event heap.
-
-        Arms recurring :class:`~repro.core.events.EventCore` events for
-        the scrubber patrol (one window every ``scrub_period_ns``,
-        driven from the lowest-numbered live node) and — when a health
-        engine is attached and ``health_period_ns`` is set — health
-        ticks.  While armed, ``NodeOS.idle_tick`` stops its per-tick
-        scrub call, so a campaign runs every actor off one heap.
-
-        ``sink(line)`` receives each health-transition line (the chaos
-        journal hook).  Idempotent; returns the recurring handles.
-        """
-        if self.patrols:
-            return self.patrols
-
-        def _scrub_patrol() -> None:
-            ctx = self._alive_context()
-            if ctx is not None:
-                self.scrubber.step(ctx, max_bytes=scrub_bytes)
-
-        self.patrols.append(self.events.every(scrub_period_ns, _scrub_patrol))
-        if health_period_ns is not None:
-
-            def _health_tick() -> None:
-                if self.health is None:
-                    return
-                for line in self.health.tick(self.machine.max_time()):
-                    if sink is not None:
-                        sink(line)
-
-            self.patrols.append(self.events.every(health_period_ns, _health_tick))
-        return self.patrols
-
-    def stop_patrols(self) -> None:
-        """Cancel event-heap patrols; idle_tick's polled loops resume."""
-        for handle in self.patrols:
-            handle.cancel()
-        self.patrols.clear()
-
-    def _alive_context(self) -> Optional[NodeContext]:
-        """A context on the lowest-numbered live node, or None."""
-        for node_id, node in sorted(self.machine.nodes.items()):
-            if node.alive:
-                return self.machine.context(node_id)
-        return None
 
     def node_os(self, node_id: int) -> NodeOS:
         return self._node_os[node_id]

@@ -57,17 +57,66 @@ class PathCost:
     switches: int
 
 
+def check_positive(what: str, value: float) -> float:
+    """``value`` as a float; a capacity or window must be > 0."""
+    value = float(value)
+    if not value > 0:
+        raise ValueError(f"{what} must be positive, got {value}")
+    return value
+
+
+class WindowedRate:
+    """A charge-anchored windowed byte rate: the first charge at least
+    ``window_ns`` after ``start_ns`` closes the window — its bytes over
+    its actual span become :attr:`rate` — and opens the next."""
+
+    __slots__ = ("window_ns", "start_ns", "bytes", "rate")
+
+    def __init__(self, window_ns: float, start_ns: float = 0.0) -> None:
+        self.window_ns = window_ns
+        self.start_ns = start_ns
+        self.bytes = 0
+        self.rate = 0.0
+
+    def charge(self, n_bytes: int, now_ns: float) -> Optional[int]:
+        """Add ``n_bytes`` at ``now_ns``; returns the bytes of the window
+        this charge closed first, or None while the window stays open."""
+        closed = None
+        elapsed = now_ns - self.start_ns
+        if elapsed >= self.window_ns:
+            closed = self.bytes
+            self.rate = closed * 1e9 / elapsed
+            self.start_ns = now_ns
+            self.bytes = 0
+        self.bytes += n_bytes
+        return closed
+
+    def at(self, now_ns: Optional[float] = None) -> float:
+        """The byte rate, decayed against ``now_ns``.
+
+        Without ``now_ns`` this is the last *completed* window's rate —
+        which, during silence, reports the final busy window forever.
+        With ``now_ns``, once more than a window has elapsed since the
+        window opened, the completed rate is stale and the *open*
+        window's own bytes-over-elapsed becomes the estimate: still the
+        true rate mid-burst, and decaying smoothly to zero through a
+        silence — so headroom and admission never police ghosts.
+        """
+        if now_ns is not None:
+            elapsed = now_ns - self.start_ns
+            if elapsed >= self.window_ns:
+                return self.bytes * 1e9 / elapsed
+        return self.rate
+
+
 @dataclass
 class VniStats:
-    """Lifetime accounting for one VNI (tenant)."""
+    """Lifetime accounting for one VNI (tenant) plus its windowed rate."""
 
+    window: WindowedRate
     bytes: int = 0
     requests: int = 0
     dropped: int = 0
-    #: windowed rate state (see :meth:`VniTable.charge`)
-    window_start_ns: float = 0.0
-    window_bytes: int = 0
-    rate_bytes_per_s: float = 0.0
 
 
 class VniTable:
@@ -88,13 +137,15 @@ class VniTable:
 
     def __init__(self, capacity_bytes_per_s: float = float("inf"),
                  window_ns: float = 1e6) -> None:
-        self.capacity_bytes_per_s = float(capacity_bytes_per_s)
-        self.window_ns = float(window_ns)
+        self.capacity_bytes_per_s = check_positive(
+            "capacity_bytes_per_s", capacity_bytes_per_s
+        )
+        self.window_ns = check_positive("window_ns", window_ns)
         self._by_name: Dict[str, int] = {}
         self._names: List[str] = []
         self._weights: List[float] = []
         self.stats: List[VniStats] = []
-        self._agg = VniStats()
+        self._agg = VniStats(WindowedRate(self.window_ns))
 
     # -- registration ----------------------------------------------------------
 
@@ -109,7 +160,7 @@ class VniTable:
         self._by_name[name] = vni
         self._names.append(name)
         self._weights.append(float(weight))
-        self.stats.append(VniStats())
+        self.stats.append(VniStats(WindowedRate(self.window_ns)))
         return vni
 
     def vni_of(self, name: str) -> int:
@@ -130,20 +181,13 @@ class VniTable:
     def charge(self, vni: int, n_bytes: int, requests: int, now_ns: float) -> None:
         """Account ``n_bytes`` / ``requests`` of fabric traffic to ``vni``.
 
-        Windowed rates roll when a window's worth of simulated time has
-        elapsed: the completed window's bytes over its actual span
-        become the VNI's current ``rate_bytes_per_s``.  Long silences
-        therefore decay the rate on the next charge.
+        Windowed rates roll as :class:`WindowedRate` describes, so long
+        silences decay the rate on the next charge.
         """
         self._check(vni)
         for s in (self.stats[vni], self._agg):
-            elapsed = now_ns - s.window_start_ns
-            if elapsed >= self.window_ns and elapsed > 0:
-                s.rate_bytes_per_s = s.window_bytes * 1e9 / elapsed
-                s.window_start_ns = now_ns
-                s.window_bytes = 0
+            s.window.charge(n_bytes, now_ns)
             s.bytes += n_bytes
-            s.window_bytes += n_bytes
             s.requests += requests
         # dropped is per-VNI only; aggregate drops derive from the sum
 
@@ -154,39 +198,21 @@ class VniTable:
 
     # -- policy queries --------------------------------------------------------
 
-    def _rate(self, s: VniStats, now_ns: Optional[float]) -> float:
-        """``s``'s current byte rate, decayed against ``now_ns``.
-
-        Without ``now_ns`` this is the last *completed* window's rate —
-        which, during silence, reports the final busy window forever.
-        With ``now_ns``, once more than a window has elapsed since the
-        window opened, the completed rate is stale and the *open*
-        window's own bytes-over-elapsed becomes the estimate: still the
-        true rate mid-burst, and decaying smoothly to zero through a
-        silence — so headroom and admission never police ghosts.
-        """
-        if now_ns is None:
-            return s.rate_bytes_per_s
-        elapsed = now_ns - s.window_start_ns
-        if elapsed < self.window_ns or elapsed <= 0:
-            return s.rate_bytes_per_s
-        return s.window_bytes * 1e9 / elapsed
-
     def rate_bytes_per_s(
         self, vni: Optional[int] = None, now_ns: Optional[float] = None
     ) -> float:
         """Current byte rate for one VNI (or aggregate); pass ``now_ns``
-        to decay stale windows (see :meth:`_rate`)."""
+        to decay stale windows (see :meth:`WindowedRate.at`)."""
         if vni is None:
-            return self._rate(self._agg, now_ns)
+            return self._agg.window.at(now_ns)
         self._check(vni)
-        return self._rate(self.stats[vni], now_ns)
+        return self.stats[vni].window.at(now_ns)
 
     def utilisation(self, now_ns: Optional[float] = None) -> float:
         """Aggregate windowed rate over fabric capacity (inf capacity -> 0)."""
         if self.capacity_bytes_per_s == float("inf"):
             return 0.0
-        return self._rate(self._agg, now_ns) / self.capacity_bytes_per_s
+        return self._agg.window.at(now_ns) / self.capacity_bytes_per_s
 
     def saturated(self, now_ns: Optional[float] = None) -> bool:
         return self.utilisation(now_ns) >= 1.0
@@ -217,7 +243,7 @@ class VniTable:
                 "bytes": self._agg.bytes,
                 "requests": self._agg.requests,
                 "dropped": sum(s.dropped for s in self.stats),
-                "rate_bytes_per_s": round(self._rate(self._agg, now_ns), 3),
+                "rate_bytes_per_s": round(self._agg.window.at(now_ns), 3),
                 "utilisation": round(self.utilisation(now_ns), 6),
             },
             "vnis": [
@@ -228,7 +254,7 @@ class VniTable:
                     "bytes": s.bytes,
                     "requests": s.requests,
                     "dropped": s.dropped,
-                    "rate_bytes_per_s": round(self._rate(s, now_ns), 3),
+                    "rate_bytes_per_s": round(s.window.at(now_ns), 3),
                 }
                 for vni, s in enumerate(self.stats)
             ],
@@ -242,8 +268,7 @@ class VniTable:
 class _LinkState:
     """Windowed per-VNI accounting for one fabric link.
 
-    Mirrors the :class:`VniStats` window machinery, but per link *and*
-    per VNI: the aggregate window rolls exactly like a VNI window, and
+    The link's :class:`WindowedRate` rolls exactly like a VNI's, and
     when a completed window's rate met or exceeded the link's capacity,
     every VNI's bytes in that window are banked as *saturated bytes* —
     the raw material of contention blame ("of the bytes moved while
@@ -251,21 +276,18 @@ class _LinkState:
     """
 
     __slots__ = (
-        "link", "capacity_bytes_per_s", "bytes", "requests",
-        "window_start_ns", "window_bytes", "rate_bytes_per_s",
+        "link", "capacity_bytes_per_s", "bytes", "requests", "window",
         "vni_bytes", "vni_requests", "vni_window_bytes",
         "vni_saturated_bytes", "saturated_bytes", "saturated_windows",
         "rates", "downs",
     )
 
-    def __init__(self, link: str, window_start_ns: float = 0.0) -> None:
+    def __init__(self, link: str, window_ns: float, start_ns: float) -> None:
         self.link = link
         self.capacity_bytes_per_s = float("inf")
         self.bytes = 0
         self.requests = 0
-        self.window_start_ns = window_start_ns
-        self.window_bytes = 0
-        self.rate_bytes_per_s = 0.0
+        self.window = WindowedRate(window_ns, start_ns)
         self.vni_bytes: Dict[int, int] = {}
         self.vni_requests: Dict[int, int] = {}
         self.vni_window_bytes: Dict[int, int] = {}
@@ -292,7 +314,7 @@ class LinkTable:
     """
 
     def __init__(self, window_ns: float = 1e6) -> None:
-        self.window_ns = float(window_ns)
+        self.window_ns = check_positive("window_ns", window_ns)
         self._links: Dict[str, _LinkState] = {}
 
     def __len__(self) -> int:
@@ -310,7 +332,7 @@ class LinkTable:
     def _state(self, link: str, now_ns: float) -> _LinkState:
         s = self._links.get(link)
         if s is None:
-            s = self._links[link] = _LinkState(link, window_start_ns=now_ns)
+            s = self._links[link] = _LinkState(link, self.window_ns, now_ns)
         return s
 
     def charge(
@@ -325,33 +347,28 @@ class LinkTable:
         """Account one batch's traffic on one link for one VNI."""
         s = self._state(link, now_ns)
         s.capacity_bytes_per_s = capacity_bytes_per_s
-        elapsed = now_ns - s.window_start_ns
-        if elapsed >= self.window_ns and elapsed > 0:
-            self._roll(s, elapsed, now_ns)
+        closed = s.window.charge(n_bytes, now_ns)
+        if closed is not None:
+            self._roll(s, closed, now_ns)
         s.bytes += n_bytes
-        s.window_bytes += n_bytes
         s.requests += requests
         s.vni_bytes[vni] = s.vni_bytes.get(vni, 0) + n_bytes
         s.vni_requests[vni] = s.vni_requests.get(vni, 0) + requests
         s.vni_window_bytes[vni] = s.vni_window_bytes.get(vni, 0) + n_bytes
 
-    def _roll(self, s: _LinkState, elapsed: float, now_ns: float) -> None:
-        """Close one completed window: publish its rate, bank saturated
-        bytes per VNI if it ran at/over capacity, open the next."""
-        rate = s.window_bytes * 1e9 / elapsed
-        s.rate_bytes_per_s = rate
-        s.rates.append((now_ns, rate))
-        if rate >= s.capacity_bytes_per_s:
-            s.saturated_bytes += s.window_bytes
+    def _roll(self, s: _LinkState, closed: int, now_ns: float) -> None:
+        """After a window of ``closed`` bytes closed: record its rate and
+        bank saturated bytes per VNI if it ran at/over capacity."""
+        s.rates.append((now_ns, s.window.rate))
+        if s.window.rate >= s.capacity_bytes_per_s:
+            s.saturated_bytes += closed
             s.saturated_windows += 1
             for vni in sorted(s.vni_window_bytes):
                 s.vni_saturated_bytes[vni] = (
                     s.vni_saturated_bytes.get(vni, 0) + s.vni_window_bytes[vni]
                 )
             if _TEL.enabled:
-                _TEL.add(RACK_WIDE, "fabric", "link.saturated_window", 1.0)
-        s.window_start_ns = now_ns
-        s.window_bytes = 0
+                _TEL.count(RACK_WIDE, "fabric", "link.saturated_window", 1.0)
         s.vni_window_bytes.clear()
 
     def note_state(self, link: str, up: bool, now_ns: float) -> None:
@@ -363,14 +380,7 @@ class LinkTable:
 
     def rate_bytes_per_s(self, link: str, now_ns: Optional[float] = None) -> float:
         s = self._links.get(link)
-        if s is None:
-            return 0.0
-        if now_ns is None:
-            return s.rate_bytes_per_s
-        elapsed = now_ns - s.window_start_ns
-        if elapsed < self.window_ns or elapsed <= 0:
-            return s.rate_bytes_per_s
-        return s.window_bytes * 1e9 / elapsed
+        return 0.0 if s is None else s.window.at(now_ns)
 
     def utilisation(self, link: str, now_ns: Optional[float] = None) -> float:
         s = self._links.get(link)
@@ -499,11 +509,12 @@ class Interconnect:
     def link(
         self, u: str, v: str, capacity_bytes_per_s: Optional[float] = None
     ) -> None:
-        self.graph.add_edge(u, v, up=True)
+        attrs = {"up": True}
         if capacity_bytes_per_s is not None:
-            self.graph.edges[u, v]["capacity_bytes_per_s"] = float(
-                capacity_bytes_per_s
+            attrs["capacity_bytes_per_s"] = check_positive(
+                "capacity_bytes_per_s", capacity_bytes_per_s
             )
+        self.graph.add_edge(u, v, **attrs)
         self._down_links.discard(frozenset((u, v)))
         self._path_cache.clear()
         self._route_cache.clear()
@@ -513,7 +524,9 @@ class Interconnect:
         """Override one link's capacity (defaults to the VNI table's)."""
         if not self.graph.has_edge(u, v):
             raise KeyError(f"no link {u} <-> {v}")
-        self.graph.edges[u, v]["capacity_bytes_per_s"] = float(bytes_per_s)
+        self.graph.edges[u, v]["capacity_bytes_per_s"] = check_positive(
+            "bytes_per_s", bytes_per_s
+        )
 
     def link_capacity(self, u: str, v: str) -> float:
         """A link's effective capacity: its own override, else the

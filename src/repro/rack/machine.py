@@ -888,13 +888,13 @@ class RackMachine:
     def _fallback(self, node: Node, reason: str, n: int) -> None:
         """Count ``n`` ops of one batch routed to the per-op loop.
 
-        ``bulk.fallback/<reason>`` is an aggregated record (never
-        sampled, zero simulated ns) of *ops*, so its sum over reasons
+        ``bulk.fallback/<reason>`` is an aggregated record (exact, zero
+        simulated ns) of *ops*, so its sum over reasons
         divided by the bulk op count is the share of bulk traffic that
         left the vector path.  The reasons are listed in DESIGN.md §10.
         """
         if _TEL.enabled:
-            _TEL.add(node.node_id, _SUB, "bulk.fallback/" + reason, float(n))
+            _TEL.count(node.node_id, _SUB, "bulk.fallback/" + reason, float(n))
 
     def _bulk_plan(
         self, node: Node, addrs: Sequence[int], size: int
@@ -987,7 +987,7 @@ class RackMachine:
                 out[idx] = region.device.gather(offs, size)
         self._advance_vec(node, charges)
         if _TEL.enabled:
-            _TEL.add(node.node_id, _SUB, "bypass.load", float(n))
+            _TEL.count(node.node_id, _SUB, "bypass.load", float(n))
         if _TEL.atlas is not None:
             _TEL.atlas.touch_many(addrs, size)
         return out.tobytes()
@@ -1068,7 +1068,7 @@ class RackMachine:
             region.device.scatter(offs, rows if sel is None else rows[sel])
         self._advance_vec(node, charges)
         if _TEL.enabled:
-            _TEL.add(node.node_id, _SUB, "bypass.store", float(n))
+            _TEL.count(node.node_id, _SUB, "bypass.store", float(n))
         atlas = _TEL.atlas
         if atlas is not None:
             # every op's address, duplicates included (the loop touches each)
@@ -1122,7 +1122,7 @@ class RackMachine:
                 clock._now_ns = t
                 cache.stats.hits += pend
                 if _TEL.enabled:
-                    _TEL.add(node_id, _SUB, "cache.hit", float(pend))
+                    _TEL.count(node_id, _SUB, "cache.hit", float(pend))
                 pend = 0
             append(self.load(node_id, a, size))
             t = clock._now_ns
@@ -1130,10 +1130,10 @@ class RackMachine:
             clock._now_ns = t
             cache.stats.hits += pend
             if _TEL.enabled:
-                _TEL.add(node_id, _SUB, "cache.hit", float(pend))
+                _TEL.count(node_id, _SUB, "cache.hit", float(pend))
         if hit_addrs:
             # misses routed through self.load fed the sketch already;
-            # hits flush as one aggregated batch (TelemetryState.add style)
+            # hits flush as one aggregated batch (like a batch count)
             atlas.touch_many(hit_addrs, size)
         return out
 
@@ -1176,7 +1176,7 @@ class RackMachine:
                 clock._now_ns = t
                 cache.stats.hits += pend
                 if _TEL.enabled:
-                    _TEL.add(node_id, _SUB, "cache.hit", float(pend))
+                    _TEL.count(node_id, _SUB, "cache.hit", float(pend))
                 pend = 0
             self.store(node_id, a, d)
             t = clock._now_ns
@@ -1184,7 +1184,7 @@ class RackMachine:
             clock._now_ns = t
             cache.stats.hits += pend
             if _TEL.enabled:
-                _TEL.add(node_id, _SUB, "cache.hit", float(pend))
+                _TEL.count(node_id, _SUB, "cache.hit", float(pend))
         if hit_addrs:
             atlas.touch_many(hit_addrs, hit_sizes)
 
@@ -1267,9 +1267,9 @@ class RackMachine:
         self._advance_vec(node, charges)
         if _TEL.enabled:
             if n_global:
-                _TEL.add(node.node_id, _SUB, "atomic.global", float(n_global))
+                _TEL.count(node.node_id, _SUB, "atomic.global", float(n_global))
             if n > n_global:
-                _TEL.add(node.node_id, _SUB, "atomic.local", float(n - n_global))
+                _TEL.count(node.node_id, _SUB, "atomic.local", float(n - n_global))
         if _TEL.atlas is not None:
             _TEL.atlas.touch_many(addrs, width)
 

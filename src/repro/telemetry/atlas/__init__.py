@@ -15,7 +15,7 @@ Four pieces:
   :meth:`~repro.rack.interconnect.Interconnect.charge`.
 * **hot-page / hot-line sketches** — :class:`.sketch.SpaceSaving`
   top-k, fed from the machine's single-op and bulk data paths behind
-  one ``_TEL.atlas is not None`` check (the ``TelemetryState.add``
+  one ``_TEL.atlas is not None`` check (the telemetry batch
   convention: bulk paths offer one aggregated call per batch).
 * **blame / headroom** — :mod:`.attribution`: per-(tenant, link)
   saturated-byte shares, queueing-delay blame, time-to-saturation.

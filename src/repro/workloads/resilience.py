@@ -48,6 +48,7 @@ import numpy as np
 from ..chaos.runner import CampaignRunner, render_fault_log
 from ..core.backoff import BackoffPolicy
 from ..core.events import EventCore
+from ..core.kernel import PATROL_SCRUB_BYTES
 from ..rack.interconnect import InterconnectError
 from ..rack.node import NodeCrashedError
 from ..telemetry import TELEMETRY as _TEL
@@ -727,13 +728,14 @@ class ChaosUnderLoad:
 
     Unlike :class:`~repro.chaos.runner.CampaignRunner` (which steps a
     workload callback and polls triggers between steps), this runner
-    puts *everything on one event heap*: chaos events are scheduled at
-    their ``at_ns`` triggers, the kernel's scrubber patrol and health
-    ticks recur via :meth:`FlacOS.start_patrols
-    <repro.core.kernel.FlacOS.start_patrols>`, breaker feeds run on a
-    control tick, and the traffic engine pumps the heap.  Faults
+    puts *everything on the kernel's one event heap*: chaos events are
+    scheduled at their ``at_ns`` triggers, one recurring control event
+    runs the background work (scrub patrol, health tick, breaker feed,
+    recorder sync), and the traffic engine pumps the heap.  Faults
     therefore land *mid-run, between batch windows*, exactly where the
-    heap ordering puts them — deterministically.
+    heap ordering puts them — deterministically.  The control event is
+    armed by :meth:`run` and cancelled before it returns: the runner is
+    the only owner of background work during its run.
 
     Every chaos event must carry an ``at_ns`` trigger (access- and
     step-based triggers belong to the step-loop runner).  Same
@@ -747,7 +749,6 @@ class ChaosUnderLoad:
         campaign,
         health=None,
         control_period_ns: float = 1e6,
-        scrub_bytes: int = 1 << 18,
     ) -> None:
         for ev in campaign.events:
             if ev.at_ns is None:
@@ -760,7 +761,6 @@ class ChaosUnderLoad:
         self.campaign = campaign
         self.health = health if health is not None else getattr(kernel, "health", None)
         self.control_period_ns = float(control_period_ns)
-        self.scrub_bytes = int(scrub_bytes)
         self.events = engine.events
         # reuse the step-runner's action handlers + seeded RNG contract
         self._runner = CampaignRunner(kernel.machine, kernel, health=self.health)
@@ -782,9 +782,6 @@ class ChaosUnderLoad:
         tel_baseline = _TEL.registry.counter_baseline() if _TEL.enabled else None
         breaker_mark = len(getattr(self.engine, "breaker_log", []))
 
-        def _sink(line: str) -> None:
-            lines.append(f"t={self.events.now_ns:.1f} {line}")
-
         chaos_events = []
         for ev in self.campaign.events:
             def _fire(ev=ev) -> None:
@@ -795,20 +792,15 @@ class ChaosUnderLoad:
 
             chaos_events.append(self.events.at(ev.at_ns, _fire))
 
-        self.kernel.start_patrols(
-            scrub_period_ns=self.control_period_ns,
-            scrub_bytes=self.scrub_bytes,
-            health_period_ns=self.control_period_ns if self.health is not None else None,
-            sink=_sink,
+        control = self.events.every(
+            self.control_period_ns, lambda: self._control_tick(lines)
         )
-        control = self.events.every(self.control_period_ns, self._control_tick)
         try:
             report = self.engine.run(
                 duration_ns=duration_ns, max_requests=max_requests
             )
         finally:
             control.cancel()
-            self.kernel.stop_patrols()
             for ev in chaos_events:
                 EventCore.cancel(ev)
         if hasattr(self.engine, "finalize"):
@@ -837,10 +829,20 @@ class ChaosUnderLoad:
             journal="\n".join(lines) + "\n",
         )
 
-    def _control_tick(self) -> None:
-        """Feed health alerts into the engine's breakers each period."""
+    def _control_tick(self, lines: List[str]) -> None:
+        """One control period's background work, in order: a scrub
+        quantum from the driver (or first live) node, a health tick
+        whose transition lines go to the journal, then the breaker feed
+        and the flight-recorder sync."""
+        ctx = self._runner._alive_ctx()
+        if ctx is not None:
+            self.kernel.scrubber.step(ctx, max_bytes=PATROL_SCRUB_BYTES)
+        if self.health is None:
+            return
+        for line in self.health.tick(self.kernel.machine.max_time()):
+            lines.append(f"t={self.events.now_ns:.1f} {line}")
         feed = getattr(self.engine, "feed_health_alerts", None)
-        if feed is not None and self.health is not None:
+        if feed is not None:
             feed(self.health)
         self.sync_recorder()
 

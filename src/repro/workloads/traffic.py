@@ -53,6 +53,7 @@ import numpy as np
 
 from ..core.events import EventCore
 from ..flacdk.arena import ArenaExhausted
+from ..rack.interconnect import check_positive
 from ..rack.machine import NodeContext
 from ..telemetry import TELEMETRY as _TEL
 from .arrivals import ArrivalProcess, make_process
@@ -353,20 +354,21 @@ class TrafficEngine:
         chunk: int = 4_096,
         link_capacity_bytes_per_s: Optional[float] = None,
         backend=None,
-        events: Optional[EventCore] = None,
     ) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
         self.kernel = kernel
         self.machine = kernel.machine
-        self.events = events if events is not None else kernel.events
+        self.events = kernel.events
         self.batch_window_ns = float(batch_window_ns)
         self.chunk = int(chunk)
         self.backend = backend if backend is not None else DataPlaneBackend(kernel)
         self.fabric = self.machine.fabric
         self.vnis = self.machine.fabric.vnis
         if link_capacity_bytes_per_s is not None:
-            self.vnis.capacity_bytes_per_s = float(link_capacity_bytes_per_s)
+            self.vnis.capacity_bytes_per_s = check_positive(
+                "link_capacity_bytes_per_s", link_capacity_bytes_per_s
+            )
         self.tenants: Dict[str, _TenantState] = {}
         self._stop_at_requests: Optional[int] = None
         start_ns = self.events.now_ns

@@ -194,6 +194,14 @@ class TestDeterminism:
         # digests mean injection AND self-healing replayed identically
         assert "-- fault log --" in a.journal
 
+    def test_replay_journal_digest_is_pinned(self):
+        """The step runner's journal (chaos firings, a scrub quantum and
+        health tick after every step, the fault+repair log) is pinned
+        across refactors of how that background work is scheduled."""
+        assert self._run_once().digest == (
+            "1f28194bb9be2b037753b9454128293e1723192b477878689d4209d7b90c755d"
+        )
+
     def test_different_seed_diverges(self):
         a = self._run_once()
         rig = build_rig()

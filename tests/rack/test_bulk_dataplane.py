@@ -334,32 +334,6 @@ def test_bulk_telemetry_counters_match_loop():
         telemetry.reset()
 
 
-def test_per_subsystem_sampling_decimates_unbiased():
-    """``set_sampling(sub, s)`` records every s-th event with weight s:
-    totals stay unbiased while hot sites skip most registry work."""
-    telemetry.reset()
-    telemetry.enable()
-    tel = telemetry.TELEMETRY
-    try:
-        tel.set_sampling("rack.machine", 8)
-        assert tel.sampling_active
-        m = RackMachine(_config(0))
-        g = m.global_base
-        m.load(0, g, 8)  # miss: 2 events (cache.miss + cache.remote_fetch)
-        for _ in range(798):
-            m.load(0, g, 8)  # hits: 798 events -> 800 total, stride-aligned
-        reg = tel.registry
-        total = sum(
-            v for (_n, sub, _name), v in reg.counters.items() if sub == "rack.machine"
-        )
-        assert total == 800  # decimation weights exactly compensate
-        assert m.nodes[0].cache.stats.hits == 798  # sim state untouched
-    finally:
-        tel.set_sampling(None)
-        telemetry.disable()
-        telemetry.reset()
-
-
 def test_load_many_concat_and_empty():
     m = RackMachine(_config(0))
     g = m.global_base

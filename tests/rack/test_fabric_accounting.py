@@ -27,6 +27,9 @@ from repro.rack.interconnect import (
 )
 from repro.rack import topology
 
+#: capacities / windows that would divide by zero or read backwards
+NON_POSITIVE = [0, 0.0, -1.0, -5e9, float("nan")]
+
 
 MS = 1e6  # the default accounting window, in ns
 
@@ -140,6 +143,11 @@ class TestFairShareEdges:
         light = t.register("light", weight=1.0)
         assert t.fair_share_bytes_per_s(heavy) == pytest.approx(3e9)
         assert t.fair_share_bytes_per_s(light) == pytest.approx(1e9)
+        for bad in NON_POSITIVE:  # would divide by zero in utilisation
+            with pytest.raises(ValueError):
+                VniTable(capacity_bytes_per_s=bad)
+            with pytest.raises(ValueError):
+                VniTable(window_ns=bad)
 
 
 class TestLinkIds:
@@ -166,6 +174,9 @@ class TestLinkTable:
         t.charge("a|b", 0, 5000, 1, 0.0)
         t.charge("a|b", 0, 1, 1, MS)
         assert t.rate_bytes_per_s("a|b") == pytest.approx(5000 * 1e9 / MS)
+        for bad in NON_POSITIVE:
+            with pytest.raises(ValueError):
+                LinkTable(window_ns=bad)
 
     def test_saturated_window_banks_blame_by_vni(self):
         t = LinkTable()
@@ -283,11 +294,24 @@ class TestRoutedCharging:
         fab.charge(vni, 0, 100, 1, 0.0)
         link = fab.path_links(0)[0]
         assert fab.links.get(link).capacity_bytes_per_s == 5e9
+        for bad in NON_POSITIVE:
+            with pytest.raises(ValueError):
+                topology.build("dual_direct", 2, link_capacity_bytes_per_s=bad)
 
     def test_set_link_capacity_after_build(self):
         fab = self._fabric()
         fab.set_link_capacity("node:1", "gmem", 7e9)
         assert fab.link_capacity("node:1", "gmem") == 7e9
+        for bad in NON_POSITIVE:
+            with pytest.raises(ValueError):
+                fab.set_link_capacity("node:1", "gmem", bad)
+            with pytest.raises(ValueError):
+                fab.link("node:1", "gmem", capacity_bytes_per_s=bad)
+        assert fab.link_capacity("node:1", "gmem") == 7e9  # nothing stored
+        vni = fab.vnis.register("t")
+        fab.charge(vni, 1, 100, 1, 0.0)
+        fab.charge(vni, 1, 100, 1, MS)
+        assert fab.links.snapshot()["links"][0]["utilisation"] > 0
         # unset links fall back to the rack-wide VNI capacity
         fab.vnis.capacity_bytes_per_s = 3e9
         assert fab.link_capacity("node:0", "gmem") == 3e9

@@ -6,6 +6,7 @@ import pytest
 import repro.telemetry as tel
 from repro.bench.harness import build_rig
 from repro.chaos.schedule import ChaosCampaign, event
+from repro.telemetry.health import FlightRecorder
 from repro.workloads import TenantSpec, TrafficEngine
 from repro.workloads.resilience import (
     DISABLED,
@@ -141,10 +142,81 @@ class TestCampaignMechanics:
         assert rep.journal == rep2.journal
 
     def test_patrols_cleaned_up_after_run(self):
+        """The runner owns its background work only while it runs:
+        pumping the heap afterwards scrubs nothing more."""
+        rig, calls = _scrub_rig()
+        eng = TrafficEngine(rig.kernel, _node1_tenants(), seed=7)
+        ChaosUnderLoad(rig.kernel, eng, _late_campaign()).run(duration_ns=3e6)
+        assert len(calls) == 3
+        rig.kernel.events.run_until(rig.kernel.events.now_ns + 10e6)
+        assert len(calls) == 3
+
+
+def _node1_tenants():
+    # node 1 carries the load, so crashing node 0 leaves traffic flowing
+    return [TenantSpec(name="web", rate_rps=100_000.0, node=1, n_keys=64)]
+
+
+def _late_campaign():
+    return ChaosCampaign(name="late", seed=1, events=(
+        event("node_crash", at_ns=1e15, node=0),
+    ))
+
+
+def _scrub_rig():
+    """A rig whose scrubber logs ``(heap time, driving node)`` per step."""
+    rig = build_rig(n_nodes=2)
+    calls = []
+    step = rig.kernel.scrubber.step
+
+    def logged(ctx, max_bytes=None):
+        calls.append((rig.kernel.events.now_ns, ctx.node_id))
+        return step(ctx, max_bytes=max_bytes)
+
+    rig.kernel.scrubber.step = logged
+    return rig, calls
+
+
+class _LineHealth:
+    """A health engine stand-in that reports one line per tick."""
+
+    def __init__(self):
+        self.recorder = FlightRecorder()
+        self.ticks = 0
+
+    def tick(self, now_ns):
+        self.ticks += 1
+        return [f"health tick={self.ticks}"]
+
+
+class TestControlEvent:
+    """One recurring control event carries the background work that the
+    kernel's heap patrols used to: scrub, health tick, breaker feed."""
+
+    def test_scrub_runs_once_per_control_period(self):
+        rig, calls = _scrub_rig()
+        eng = TrafficEngine(rig.kernel, _node1_tenants(), seed=7)
+        start = rig.kernel.events.now_ns
+        ChaosUnderLoad(rig.kernel, eng, _late_campaign(),
+                       control_period_ns=1e6).run(duration_ns=5e6)
+        assert [t for t, _ in calls] == [start + k * 1e6 for k in range(1, 6)]
+        assert {node for _, node in calls} == {0}
+
+    def test_node1_drives_scrub_after_node0_crash(self):
+        rig, calls = _scrub_rig()
+        eng = TrafficEngine(rig.kernel, _node1_tenants(), seed=7)
+        camp = ChaosCampaign(name="kill0", seed=1, events=(
+            event("node_crash", at_ns=2.5e6, node=0),
+        ))
+        ChaosUnderLoad(rig.kernel, eng, camp).run(duration_ns=5e6)  # no raise
+        assert [node for _, node in calls] == [0, 0, 1, 1, 1]
+
+    def test_health_lines_reach_the_journal(self):
         rig = build_rig(n_nodes=2)
-        eng = ResilientTrafficEngine(rig.kernel, _tenants(),
-                                     resilience=default_spec(replica_node=1),
-                                     seed=7)
-        cul = ChaosUnderLoad(rig.kernel, eng, _crash_campaign())
-        cul.run(max_requests=10_000)
-        assert rig.kernel.patrols == []
+        eng = TrafficEngine(rig.kernel, _node1_tenants(), seed=7)
+        health = _LineHealth()
+        rep = ChaosUnderLoad(rig.kernel, eng, _late_campaign(),
+                             health=health).run(duration_ns=3e6)
+        assert health.ticks == 3
+        for k in range(1, 4):
+            assert f"t={k * 1e6:.1f} health tick={k}\n" in rep.journal

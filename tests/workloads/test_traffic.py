@@ -151,6 +151,12 @@ class TestAdmission:
         assert rep.tenants["hog"]["dropped_link"] > 0
         assert rep.tenants["meek"]["dropped_link"] == 0
         assert rep.tenants["meek"]["admitted"] > 0
+        # a capacity that is not positive is refused up front, not
+        # divided by on the first batch
+        for bad in (0, -40e6, float("nan")):
+            with pytest.raises(ValueError):
+                TrafficEngine(rig.kernel, [TenantSpec(name="t", rate_rps=1e5)],
+                              link_capacity_bytes_per_s=bad)
 
     def test_memory_admission(self):
         rig = build_rig()
