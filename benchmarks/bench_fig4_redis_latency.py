@@ -28,7 +28,7 @@ def _run_side(kind: str, size: int):
         client, _ = connect_over_flacos(rig.kernel.ipc, rig.c0, rig.c1)
     else:
         client, _ = connect_over_tcp(TcpNetwork(), rig.c0, rig.c1)
-    values = ValueGenerator(size=size, seed=1)
+    values = ValueGenerator(size=size)
     set_ns, get_ns = [], []
     for i in range(REQUESTS):
         key = b"bench:%06d" % i

@@ -33,11 +33,11 @@ if __name__ == "__main__" and __package__ is None:  # allow running from a check
 
 from repro.bench.harness import build_rig
 from repro.chaos.schedule import ChaosCampaign, event
-from repro.workloads import TenantSpec
-from repro.workloads.resilience import (
+from repro.workloads import (
     DISABLED,
     ChaosUnderLoad,
-    ResilientTrafficEngine,
+    TenantSpec,
+    TrafficEngine,
     default_spec,
 )
 
@@ -81,8 +81,7 @@ def _campaign(seed: int) -> ChaosCampaign:
 def bench_chaos(spec, n_requests: int, seed: int = 7) -> Dict[str, object]:
     """One seeded chaos-under-load run; returns outcome + journal digest."""
     rig = build_rig(n_nodes=2)
-    engine = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=spec,
-                                    seed=seed)
+    engine = TrafficEngine(rig.kernel, _tenants(), resilience=spec, seed=seed)
     cul = ChaosUnderLoad(rig.kernel, engine, _campaign(seed))
     t0 = time.perf_counter()
     rep = cul.run(max_requests=n_requests)

@@ -27,7 +27,7 @@ RECORDS_PER_MAPPER = 200
 
 def _records(value_size):
     keys = KeyGenerator(1 << 20, seed=11)
-    values = ValueGenerator(value_size, seed=11)
+    values = ValueGenerator(value_size)
     return {
         m: [
             (

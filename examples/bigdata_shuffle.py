@@ -47,7 +47,7 @@ def main() -> None:
 
     print("\n== FlacFS vs TCP shuffle at scale ==")
     keys = KeyGenerator(1 << 20, seed=5)
-    values = ValueGenerator(1024, seed=5)
+    values = ValueGenerator(1024)
     records = {
         m: [
             (keys.key(m * 250 + i), values.value_for(keys.key(m * 250 + i)))

@@ -27,7 +27,7 @@ def run(transport: str, value_size: int, requests: int = 60):
     else:
         client, _ = connect_over_tcp(TcpNetwork(), rig.c0, rig.c1)
     keys = KeyGenerator(requests, seed=7)
-    values = ValueGenerator(size=value_size, seed=7)
+    values = ValueGenerator(size=value_size)
     set_lat, get_lat = [], []
     for i in range(requests):
         key = keys.key(i)

@@ -184,7 +184,7 @@ class RackMachine:
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, size)
         if bypass_cache:
-            self._charge_bulk(node, region, size, write=False)
+            self._charge_bulk(node, region, size)
             self._maybe_fault(region, offset, size, node_id)
             self._check_poison(region, offset, size, node_id)
             if _TEL.enabled:
@@ -232,7 +232,7 @@ class RackMachine:
         if _TEL.atlas is not None:
             _TEL.atlas.touch(addr, size)
         if bypass_cache:
-            self._charge_bulk(node, region, len(data), write=True)
+            self._charge_bulk(node, region, len(data))
             self._maybe_fault(region, offset, len(data), node_id)
             region.device.clear_poison(offset, len(data))
             region.device.write(offset, data)
@@ -401,11 +401,11 @@ class RackMachine:
             self.store(node_id, dst, self.load(node_id, src, size))
             return
         node, sregion, soff = self._access(node_id, src, size)
-        self._charge_bulk(node, sregion, size, write=False)
+        self._charge_bulk(node, sregion, size)
         self._maybe_fault(sregion, soff, size, node_id)
         self._check_poison(sregion, soff, size, node_id)
         node, dregion, doff = self._access(node_id, dst, size)
-        self._charge_bulk(node, dregion, size, write=True)
+        self._charge_bulk(node, dregion, size)
         self._maybe_fault(dregion, doff, size, node_id)
         dregion.device.clear_poison(doff, size)
         dregion.device.copy_from(doff, sregion.device, soff, size)
@@ -430,7 +430,7 @@ class RackMachine:
             self.store(node_id, addr, bytes([value & 0xFF]) * size)
             return
         node, region, offset = self._access(node_id, addr, size)
-        self._charge_bulk(node, region, size, write=True)
+        self._charge_bulk(node, region, size)
         self._maybe_fault(region, offset, size, node_id)
         region.device.clear_poison(offset, size)
         region.device.fill(offset, size, value & 0xFF)
@@ -675,7 +675,7 @@ class RackMachine:
         lines.  Charged like a non-temporal store burst.
         """
         node, region, offset = self._access(node_id, addr, len(data))
-        self._charge_bulk(node, region, len(data), write=True)
+        self._charge_bulk(node, region, len(data))
         region.device.clear_poison(offset, len(data))
         region.device.write(offset, data)
         node.cache.invalidate(addr, len(data))
@@ -866,7 +866,7 @@ class RackMachine:
         first, rest_line = self._line_pair_ns(node, region)
         return first + (n_lines - 1) * rest_line
 
-    def _charge_bulk(self, node: Node, region: Region, size: int, *, write: bool) -> None:
+    def _charge_bulk(self, node: Node, region: Region, size: int) -> None:
         node.clock.advance(self._bulk_ns(node, region, size))
 
     # -- bulk internals ----------------------------------------------------------------

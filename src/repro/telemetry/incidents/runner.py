@@ -27,11 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...bench.harness import build_rig
-from ...workloads.resilience import (
-    ChaosUnderLoad,
-    ResilientTrafficEngine,
-    default_spec,
-)
+from ...workloads.resilience import ChaosUnderLoad
+from ...workloads.traffic import TrafficEngine, default_spec
 from .. import TELEMETRY as _TEL
 from ..health.recorder import FlightRecorder
 from ..health.slo import default_objectives
@@ -81,7 +78,7 @@ def run_scenario(
             detectors=detectors,
             recorder=recorder,
         )
-        engine = ResilientTrafficEngine(
+        engine = TrafficEngine(
             rig.kernel,
             list(scenario.tenants),
             resilience=default_spec(replica_node=scenario.replica_node),

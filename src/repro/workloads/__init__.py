@@ -11,27 +11,22 @@ from .generators import (
     popularity_histogram,
 )
 from .traffic import (
+    DISABLED,
     AdmissionError,
+    BreakerPolicy,
+    CircuitBreaker,
     DataPlaneBackend,
-    NaivePollingDriver,
+    HedgePolicy,
     RedisBackend,
+    ResilienceSpec,
+    RetryPolicy,
     ServerlessBackend,
     TenantSpec,
     TrafficEngine,
     TrafficReport,
-)
-from .resilience import (
-    DISABLED,
-    BreakerPolicy,
-    ChaosLoadReport,
-    ChaosUnderLoad,
-    CircuitBreaker,
-    HedgePolicy,
-    ResilienceSpec,
-    ResilientTrafficEngine,
-    RetryPolicy,
     default_spec,
 )
+from .resilience import ChaosLoadReport, ChaosUnderLoad
 
 __all__ = [
     "AdmissionError",
@@ -42,14 +37,12 @@ __all__ = [
     "DISABLED",
     "HedgePolicy",
     "ResilienceSpec",
-    "ResilientTrafficEngine",
     "RetryPolicy",
     "default_spec",
     "ArrivalProcess",
     "DataPlaneBackend",
     "DiurnalProcess",
     "KeyGenerator",
-    "NaivePollingDriver",
     "PoissonProcess",
     "RedisBackend",
     "Request",

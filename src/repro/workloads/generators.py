@@ -74,12 +74,11 @@ class ValueGenerator:
     exactly what a later ``generate()`` SET would.
     """
 
-    def __init__(self, size: int = 64, sigma: float = 0.0, seed: int = 0) -> None:
+    def __init__(self, size: int = 64, sigma: float = 0.0) -> None:
         if size < 1:
             raise ValueError("value size must be >= 1")
         self.size = size
         self.sigma = sigma
-        self.rng = np.random.default_rng(seed)  # kept for API compatibility
 
     def value_for(self, key: bytes) -> bytes:
         """Deterministic content for a key, at the configured size."""

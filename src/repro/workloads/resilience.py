@@ -1,709 +1,32 @@
-"""Fault-tolerant request path over the open-loop traffic engine.
+"""Chaos under load: a seeded chaos campaign interleaved with open-loop
+traffic on one event heap.
 
-The base :class:`~repro.workloads.traffic.TrafficEngine` assumes the
-rack cooperates: a tenant's node is alive, its fabric port is up, and
-every admitted batch executes.  Under the chaos schedules of
-:mod:`repro.chaos` that assumption dies mid-run — and an open-loop
-fleet does not stop arriving because a node crashed.  This module is
-the request path that survives:
-
-* **deadlines** — a per-request latency budget; requests that blow it
-  are counted ``timed_out`` and excluded from the served population
-  (the work was still charged: the substrate did it before the overrun
-  was observable, same contract as :class:`repro.core.ipc.rpc.RpcTimeout`);
-* **retries** — batch attempts that die on a crashed node or severed
-  link are retried on a seeded exponential-backoff schedule
-  (:class:`~repro.core.backoff.BackoffPolicy`, deterministic jitter),
-  budget-capped by a per-tenant token bucket so retry storms cannot
-  amplify an outage;
-* **hedging** — requests predicted to land past a p99-derived delay are
-  duplicated to a replica node; first response wins, the loser is
-  cancelled via :meth:`EventCore.cancel <repro.core.events.EventCore.cancel>`;
-* **circuit breakers** — per (tenant, target-node) closed→open→half-open
-  state machines over an error-rate window, tripped instantly by the
-  machine's crash hook and by health-engine SLO burn alerts, routing
-  traffic to the replica (failover) or shedding it (degraded mode)
-  instead of paying the failure-detection latency on every batch;
-* **chaos-under-load** — :class:`ChaosUnderLoad` interleaves a seeded
-  :class:`~repro.chaos.schedule.ChaosCampaign` with the traffic
-  engine's batch windows on *one* event heap and journals everything:
-  same seed, byte-identical journal and digest.
-
-Determinism contract: every resilience decision is a pure function of
-simulated state (clocks, seeded RNG streams, deterministic jitter
-hashes), so ``ResilienceSpec.DISABLED`` reproduces the base engine's
-report bit-for-bit and any enabled spec replays byte-identically.
+The fault-tolerant request path itself — deadlines, budgeted retries,
+hedging, circuit breakers and failover — lives in
+:mod:`repro.workloads.traffic`, in the one :class:`TrafficEngine`; this
+module keeps the runner.  :class:`ChaosUnderLoad` schedules a
+:class:`~repro.chaos.schedule.ChaosCampaign` beside the engine's batch
+windows and journals everything: same seed, byte-identical journal and
+digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..chaos.runner import CampaignRunner, render_fault_log
-from ..core.backoff import BackoffPolicy
 from ..core.events import EventCore
 from ..core.kernel import PATROL_SCRUB_BYTES
-from ..rack.interconnect import InterconnectError
-from ..rack.node import NodeCrashedError
 from ..telemetry import TELEMETRY as _TEL
-from .traffic import TrafficEngine, TrafficReport, _TenantState
-
-#: exceptions that mean "the target cannot serve" (retryable/failover)
-FAILURES = (NodeCrashedError, InterconnectError)
-
-
-# -- policies ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Budget-capped retry of failed batch attempts.
-
-    ``backoff`` prices the wait between attempts (charged to the
-    request path as queueing delay, never to a dead node's clock).  The
-    token bucket — ``burst`` capacity, refilled ``budget_ratio`` tokens
-    per offered request — bounds the *fraction* of traffic that may be
-    retried, the standard guard against retry amplification.
-    """
-
-    backoff: BackoffPolicy = BackoffPolicy(
-        base_ns=50_000.0, multiplier=2.0, max_attempts=3, jitter=0.5
-    )
-    budget_ratio: float = 0.2
-    burst: int = 4_096
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.budget_ratio <= 1.0:
-            raise ValueError(f"budget_ratio must be in [0,1], got {self.budget_ratio}")
-        if self.burst < 1:
-            raise ValueError(f"burst must be >= 1, got {self.burst}")
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """Tail-latency hedging: duplicate the slowest requests to a replica.
-
-    The hedge delay is ``max(min_delay_ns, p99_ewma * multiplier)``
-    where ``p99_ewma`` tracks the tenant's observed batch p99; at most
-    ``max_fraction`` of a batch is hedged (worst predicted latencies
-    first), so hedging cost is bounded by construction.
-    """
-
-    multiplier: float = 1.0
-    min_delay_ns: float = 100_000.0
-    max_fraction: float = 0.05
-    #: EWMA weight of the newest batch p99
-    alpha: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.max_fraction <= 1.0:
-            raise ValueError(f"max_fraction must be in (0,1], got {self.max_fraction}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0,1], got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Error-rate circuit breaker per (tenant, target node)."""
-
-    window: int = 8
-    failure_threshold: float = 0.5
-    min_volume: int = 4
-    cooldown_ns: float = 5e6
-
-    def __post_init__(self) -> None:
-        if self.window < 1 or self.min_volume < 1:
-            raise ValueError("window and min_volume must be >= 1")
-        if not 0.0 < self.failure_threshold <= 1.0:
-            raise ValueError(
-                f"failure_threshold must be in (0,1], got {self.failure_threshold}"
-            )
-
-
-@dataclass(frozen=True)
-class ResilienceSpec:
-    """One tenant's fault-tolerance configuration.
-
-    Every field defaults to off; ``ResilienceSpec()`` (aka
-    :data:`DISABLED`) only changes *failure semantics* — execution
-    faults are counted as lost requests instead of unwinding the whole
-    run — and is bit-identical to the base engine on a healthy rack.
-    """
-
-    deadline_ns: Optional[float] = None
-    retry: Optional[RetryPolicy] = None
-    hedge: Optional[HedgePolicy] = None
-    breaker: Optional[BreakerPolicy] = None
-    #: alternate node for failover and hedging (backends that keep
-    #: per-node state advertise ``supports_failover = False``)
-    replica_node: Optional[int] = None
-    #: charged cost of *discovering* a target is unreachable (the
-    #: connect-timeout analogue) before failing over or retrying
-    failure_detect_ns: float = 20_000.0
-
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.deadline_ns is not None
-            or self.retry is not None
-            or self.hedge is not None
-            or self.breaker is not None
-        )
-
-
-#: count-losses-only spec: no deadlines, retries, hedges, or breakers
-DISABLED = ResilienceSpec()
-
-
-def default_spec(replica_node: Optional[int] = None) -> ResilienceSpec:
-    """The everything-on spec the benchmarks and docs use."""
-    return ResilienceSpec(
-        retry=RetryPolicy(),
-        hedge=HedgePolicy(),
-        breaker=BreakerPolicy(),
-        replica_node=replica_node,
-    )
-
-
-# -- circuit breaker -----------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Closed → open → half-open error-rate breaker for one target.
-
-    *Closed*: outcomes feed a sliding window; once ``min_volume``
-    outcomes are in and the failure rate reaches the threshold, the
-    breaker opens.  *Open*: requests are refused (routed elsewhere or
-    shed) until ``cooldown_ns`` elapses.  *Half-open*: exactly one
-    probe batch is admitted; success closes the breaker, failure
-    re-opens it for another cooldown.  :meth:`trip` force-opens on
-    out-of-band evidence (node crash hook, SLO burn alert).
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    __slots__ = ("policy", "tenant", "target", "state", "window", "opened_at_ns",
-                 "opens", "_probing")
-
-    def __init__(self, policy: BreakerPolicy, tenant: str, target: int) -> None:
-        self.policy = policy
-        self.tenant = tenant
-        self.target = target
-        self.state = self.CLOSED
-        self.window: deque = deque(maxlen=policy.window)
-        self.opened_at_ns = 0.0
-        #: lifetime count of transitions into OPEN
-        self.opens = 0
-        self._probing = False
-
-    def _line(self, prev: str, now_ns: float, reason: str) -> str:
-        return (
-            f"breaker tenant={self.tenant} target={self.target} "
-            f"{prev}->{self.state} t={now_ns:.1f} reason={reason}"
-        )
-
-    def _open(self, now_ns: float, reason: str) -> str:
-        prev = self.state
-        self.state = self.OPEN
-        self.opened_at_ns = now_ns
-        self.opens += 1
-        self.window.clear()
-        self._probing = False
-        return self._line(prev, now_ns, reason)
-
-    def allow(self, now_ns: float) -> bool:
-        """May a batch be routed at this target right now?"""
-        if self.state == self.CLOSED:
-            return True
-        if self.state == self.OPEN:
-            if now_ns - self.opened_at_ns < self.policy.cooldown_ns:
-                return False
-            self.state = self.HALF_OPEN
-            self._probing = False
-        # half-open: admit exactly one probe until its outcome lands
-        if self._probing:
-            return False
-        self._probing = True
-        return True
-
-    def record(self, now_ns: float, ok: bool) -> Optional[str]:
-        """Feed one batch outcome; returns a transition line or None."""
-        if self.state == self.HALF_OPEN:
-            if ok:
-                prev = self.state
-                self.state = self.CLOSED
-                self.window.clear()
-                self._probing = False
-                return self._line(prev, now_ns, "probe-ok")
-            return self._open(now_ns, "probe-failed")
-        if self.state == self.OPEN:
-            return None
-        self.window.append(ok)
-        if len(self.window) >= self.policy.min_volume:
-            failures = sum(1 for o in self.window if not o)
-            if failures / len(self.window) >= self.policy.failure_threshold:
-                return self._open(now_ns, "error-rate")
-        return None
-
-    def trip(self, now_ns: float, reason: str) -> Optional[str]:
-        """Force open on external evidence; no-op when already open."""
-        if self.state == self.OPEN:
-            return None
-        return self._open(now_ns, reason)
-
-
-# -- per-tenant runtime state --------------------------------------------------
-
-
-@dataclass
-class _ResilienceState:
-    spec: ResilienceSpec
-    #: candidate targets in routing preference order (primary first)
-    targets: Tuple[int, ...]
-    breakers: Dict[int, CircuitBreaker] = field(default_factory=dict)
-    #: per-target single-server model (the primary mirrors
-    #: ``_TenantState.busy_until_ns``)
-    busy_by_node: Dict[int, float] = field(default_factory=dict)
-    #: retry token bucket (None policy -> unused)
-    tokens: float = 0.0
-    #: EWMA of observed batch p99 latency, feeds the hedge delay
-    p99_ewma: float = 0.0
-
-
-class _HedgeOp:
-    """One in-flight hedge: a primary result racing a replica duplicate.
-
-    Two events sit on the heap — ``primary done`` at the predicted
-    primary completion and ``hedge fire`` at arrival + hedge delay.
-    Whichever dispatches first resolves the op and cancels the loser
-    (the issue's first-response-wins contract).  On a hedge firing, the
-    duplicate batch really executes on the replica (charged, VNI
-    accounted) and each request keeps the *earlier* of its two
-    completions; recorded latencies are patched in place.
-    """
-
-    __slots__ = ("engine", "st", "rs", "latency_arr", "idx", "arrivals",
-                 "key_idx", "is_get", "primary_latency", "fire_ns",
-                 "ev_primary", "ev_hedge", "done", "parent_span")
-
-    def __init__(self, engine, st, rs, latency_arr, idx, arrivals,
-                 key_idx, is_get, primary_latency, fire_ns,
-                 parent_span=None) -> None:
-        self.engine = engine
-        self.st = st
-        self.rs = rs
-        self.latency_arr = latency_arr
-        self.idx = idx
-        self.arrivals = arrivals
-        self.key_idx = key_idx
-        self.is_get = is_get
-        self.primary_latency = primary_latency
-        self.fire_ns = fire_ns
-        self.ev_primary = None
-        self.ev_hedge = None
-        self.done = False
-        #: span id of the batch that launched the hedge — fire() runs
-        #: later from the event heap with an empty span stack, so the
-        #: causal link must be carried explicitly
-        self.parent_span = parent_span
-
-    def _finish(self) -> None:
-        self.done = True
-        if self.ev_primary is not None:
-            EventCore.cancel(self.ev_primary)
-        if self.ev_hedge is not None:
-            EventCore.cancel(self.ev_hedge)
-        self.engine._hedge_ops.discard(self)
-
-    def primary_wins(self) -> None:
-        """Primary completed before the hedge delay elapsed."""
-        if self.done:
-            return
-        self._finish()  # recorded latencies already hold the primary result
-
-    def fire(self) -> None:
-        """Hedge delay elapsed first: launch the replica duplicate."""
-        if self.done:
-            return
-        self._finish()
-        engine, st, rs = self.engine, self.st, self.rs
-        replica = rs.spec.replica_node
-        now = engine.events.now_ns
-        k = len(self.idx)
-        ctx = engine.machine.context(replica)
-        before = ctx.now()
-        sp = None
-        if _TEL.tracing:
-            # explicit parent: the batch span closed long ago and the
-            # stack is empty at event dispatch — without the carried id
-            # the hedge would orphan into its own root (the span-context
-            # propagation bug this parameter fixes)
-            sp = _TEL.trace.begin(
-                "traffic.hedge", replica, max(before, self.fire_ns),
-                parent_id=self.parent_span,
-                tenant=st.spec.name, target=replica, n=k, outcome="failed",
-            )
-        try:
-            try:
-                n_bytes = engine.backend.run_batch(ctx, st, self.key_idx, self.is_get)
-            except FAILURES:
-                engine._breaker_outcome(rs, replica, now, ok=False)
-                return  # primary result stands
-            if sp is not None:
-                _TEL.trace.annotate(sp, outcome="ok")
-        finally:
-            if sp is not None:
-                _TEL.trace.end(sp, ctx.now())
-        charged = ctx.now() - before
-        engine._breaker_outcome(rs, replica, now, ok=True)
-        svc = max(1.0, charged / k)
-        start = max(self.fire_ns, rs.busy_by_node.get(replica, 0.0))
-        completion = start + svc * np.arange(1, k + 1, dtype=np.float64)
-        rs.busy_by_node[replica] = float(completion[-1])
-        hedge_latency = completion - self.arrivals
-        wins = hedge_latency < self.primary_latency
-        n_wins = int(wins.sum())
-        # hedge traffic rides the replica's fabric path, not the primary's
-        engine.fabric.charge(st.vni, replica, n_bytes, 0, now)
-        if n_wins:
-            st.hedge_wins += n_wins
-            won_idx = self.idx[wins]
-            delta = hedge_latency[wins] - self.latency_arr[won_idx]
-            self.latency_arr[won_idx] = hedge_latency[wins]
-            st.latency_sum_ns += float(delta.sum())
-            if _TEL.enabled:
-                _TEL.tenant_add(st.spec.node, st.spec.name,
-                                "resilience.hedge_wins", n_wins)
-
-
-# -- the engine ----------------------------------------------------------------
-
-
-class ResilientTrafficEngine(TrafficEngine):
-    """The traffic engine with the fault-tolerant request path wired in.
-
-    ``resilience`` is one :class:`ResilienceSpec` applied to every
-    tenant, or a ``{tenant_name: spec}`` mapping (missing names get
-    :data:`DISABLED`).  With :data:`DISABLED` everywhere the engine is
-    bit-identical to :class:`~repro.workloads.traffic.TrafficEngine` on
-    a healthy rack, and merely *counts* losses on a faulty one.
-
-    ``crash_detection`` wires the machine's crash hook into the
-    breakers (fail-fast on out-of-band evidence).  Turning it off — the
-    incident benchmark's detection-off arm — leaves mitigation with
-    only inline evidence: breakers must *infer* a dead node from failed
-    attempts, paying the error-rate window before failing over.
-    """
-
-    def __init__(
-        self,
-        kernel,
-        tenants,
-        resilience: Union[ResilienceSpec, Dict[str, ResilienceSpec], None] = None,
-        crash_detection: bool = True,
-        **kwargs,
-    ) -> None:
-        super().__init__(kernel, tenants, **kwargs)
-        self._rstate: Dict[str, _ResilienceState] = {}
-        #: breaker transition lines in occurrence order (journal fodder)
-        self.breaker_log: List[str] = []
-        #: the same transitions, structured (flight-recorder fodder):
-        #: dicts with tenant/target/from/to/t_ns/reason
-        self.breaker_events: List[dict] = []
-        self._hedge_ops: set = set()
-        for name, st in self.tenants.items():
-            if isinstance(resilience, dict):
-                spec = resilience.get(name, DISABLED)
-            else:
-                spec = resilience if resilience is not None else DISABLED
-            self._rstate[name] = self._build_state(st, spec)
-        self.crash_detection = bool(crash_detection)
-        if self.crash_detection:
-            self.machine.on_crash(self._on_node_crash)
-
-    def _build_state(self, st: _TenantState, spec: ResilienceSpec) -> _ResilienceState:
-        primary = st.spec.node
-        targets: Tuple[int, ...] = (primary,)
-        replica = spec.replica_node
-        if replica is not None:
-            if replica not in self.machine.nodes:
-                raise ValueError(
-                    f"tenant {st.spec.name!r}: replica node {replica} not in rack"
-                )
-            if replica == primary:
-                raise ValueError(
-                    f"tenant {st.spec.name!r}: replica must differ from primary"
-                )
-            if getattr(self.backend, "supports_failover", False):
-                targets = (primary, replica)
-        rs = _ResilienceState(spec=spec, targets=targets)
-        if spec.breaker is not None:
-            for target in targets:
-                rs.breakers[target] = CircuitBreaker(spec.breaker, st.spec.name, target)
-        if spec.retry is not None:
-            rs.tokens = float(spec.retry.burst)
-        return rs
-
-    # -- breaker plumbing ------------------------------------------------------
-
-    def _log_breaker(self, st: _TenantState, line: Optional[str]) -> None:
-        if line is None:
-            return
-        self.breaker_log.append(line)
-        # the line format is the stable journal contract; parse it back
-        # into a structured event rather than threading a second payload
-        # through every transition site
-        parts = line.split()
-        prev, _, state = parts[3].partition("->")
-        self.breaker_events.append(
-            {
-                "tenant": parts[1][len("tenant="):],
-                "target": int(parts[2][len("target="):]),
-                "from": prev,
-                "to": state,
-                "t_ns": float(parts[4][len("t="):]),
-                "reason": parts[5][len("reason="):],
-            }
-        )
-        if _TEL.enabled and "->open" in line:
-            _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.breaker_opens")
-
-    def _breaker_outcome(
-        self, rs: _ResilienceState, target: int, now_ns: float, ok: bool
-    ) -> None:
-        br = rs.breakers.get(target)
-        if br is not None:
-            st = self.tenants[br.tenant]
-            self._log_breaker(st, br.record(now_ns, ok))
-
-    def _on_node_crash(self, node_id: int, now_ns: float) -> None:
-        """Machine crash hook: fail fast — open the breaker immediately
-        instead of waiting for an error-rate window to fill."""
-        for name in self.tenants:
-            rs = self._rstate[name]
-            br = rs.breakers.get(node_id)
-            if br is not None:
-                self._log_breaker(self.tenants[name], br.trip(now_ns, "node-crash"))
-
-    def feed_health_alerts(self, health) -> None:
-        """Trip breakers from the health engine's active SLO burn alerts
-        (the alert stream is the breaker's out-of-band evidence)."""
-        if health is None:
-            return
-        for (objective, node), _alert in sorted(health.slo.active.items()):
-            for name in sorted(self.tenants):
-                rs = self._rstate[name]
-                br = rs.breakers.get(node)
-                if br is not None:
-                    self._log_breaker(
-                        self.tenants[name], br.trip(self.events.now_ns, f"slo:{objective}")
-                    )
-
-    def _route(self, rs: _ResilienceState, now_ns: float) -> Optional[int]:
-        """First candidate target whose breaker admits traffic."""
-        for target in rs.targets:
-            br = rs.breakers.get(target)
-            if br is None or br.allow(now_ns):
-                return target
-        return None
-
-    # -- the overridden seam ---------------------------------------------------
-
-    def _run_admitted(self, st, arrivals, key_idx, is_get) -> None:
-        rs = self._rstate[st.spec.name]
-        spec = rs.spec
-        if not spec.enabled:
-            # disabled spec: base path verbatim (bit-identical floats),
-            # faults downgraded from run-enders to counted losses
-            try:
-                super()._run_admitted(st, arrivals, key_idx, is_get)
-            except FAILURES:
-                self._fail_batch(st, len(arrivals))
-            return
-        self._run_resilient(st, rs, arrivals, key_idx, is_get)
-
-    def _fail_batch(self, st: _TenantState, n: int, shed: bool = False) -> None:
-        if shed:
-            st.dropped_shed += n
-        else:
-            st.failed += n
-        self.vnis.drop(st.vni, n)
-        if _TEL.enabled:
-            name = "resilience.shed" if shed else "resilience.failed"
-            _TEL.tenant_add(st.spec.node, st.spec.name, name, n)
-            # aggregate loss counter: the availability SLO and the
-            # incident scorer read exactly one "bad" series per tenant
-            _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.lost", n)
-
-    def _run_resilient(self, st, rs, arrivals, key_idx, is_get) -> None:
-        spec = rs.spec
-        retry = spec.retry
-        n = len(arrivals)
-        now = self.events.now_ns
-        tel = _TEL.enabled
-        if retry is not None:
-            rs.tokens = min(float(retry.burst), rs.tokens + retry.budget_ratio * n)
-
-        # -- route + attempt loop (batch granularity: node/link failures
-        #    take out the whole batch's target at once) ----------------
-        target = self._route(rs, now)
-        if target is None:
-            # degraded mode: every target's breaker is open — shed at
-            # the admission path instead of queueing doomed work
-            self._fail_batch(st, n, shed=True)
-            return
-        penalty = 0.0  # detection + backoff time the batch head absorbs
-        attempt = 0
-        while True:
-            ctx = self.machine.context(target)
-            before = ctx.now()
-            try:
-                n_bytes = self._traced_attempt(
-                    ctx, st, key_idx, is_get, target=target, attempt=attempt
-                )
-                charged = ctx.now() - before
-                self._breaker_outcome(rs, target, now, ok=True)
-                break
-            except FAILURES:
-                self._breaker_outcome(rs, target, now, ok=False)
-                penalty += spec.failure_detect_ns
-                can_retry = (
-                    retry is not None
-                    and attempt < retry.backoff.max_attempts
-                    and rs.tokens >= n
-                )
-                next_target = self._route(rs, now) if can_retry else None
-                if next_target is None:
-                    self._fail_batch(st, n)
-                    return
-                rs.tokens -= n
-                penalty += retry.backoff.delay_ns(attempt, st.spec.name, target)
-                st.retries += n
-                if tel:
-                    _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.retries", n)
-                attempt += 1
-                target = next_target
-
-        if target != st.spec.node:
-            st.failovers += n
-            if tel:
-                _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.failovers", n)
-
-        # -- queue model on the serving target ------------------------
-        svc_actual = max(1.0, charged / n)
-        st.svc_est_ns = svc_actual
-        busy = rs.busy_by_node.get(target, st.busy_until_ns if target == st.spec.node else 0.0)
-        if penalty:
-            # the server could not start before detection + backoff ended
-            busy = max(busy, float(arrivals[0])) + penalty
-        completion = self._completions(arrivals, svc_actual, busy)
-        rs.busy_by_node[target] = float(completion[-1])
-        st.busy_until_ns = float(completion[-1])
-        latency = completion - arrivals
-
-        # -- deadline: overruns are charged-but-lost ------------------
-        if spec.deadline_ns is not None:
-            ok = latency <= spec.deadline_ns
-            n_late = int(n - ok.sum())
-            if n_late:
-                st.timed_out += n_late
-                st.failed += n_late
-                self.vnis.drop(st.vni, n_late)
-                if tel:
-                    _TEL.tenant_add(st.spec.node, st.spec.name,
-                                    "resilience.timed_out", n_late)
-                    _TEL.tenant_add(st.spec.node, st.spec.name,
-                                    "resilience.lost", n_late)
-                arrivals = arrivals[ok]
-                latency = latency[ok]
-                key_idx = key_idx[ok]
-                is_get = is_get[ok]
-                if len(arrivals) == 0:
-                    return
-
-        self._record(st, arrivals, latency, n_bytes)
-        recorded = st.latencies[-1]
-
-        # -- hedging: duplicate the predicted tail to the replica -----
-        hedge = spec.hedge
-        replica = spec.replica_node
-        if (
-            hedge is not None
-            and replica is not None
-            and replica in rs.targets
-            and replica != target
-        ):
-            self._launch_hedge(st, rs, recorded, arrivals, key_idx, is_get, now)
-
-        # p99 EWMA feeds the *next* batch's hedge delay
-        if hedge is not None and len(recorded):
-            batch_p99 = float(np.percentile(recorded, 99))
-            if rs.p99_ewma == 0.0:
-                rs.p99_ewma = batch_p99
-            else:
-                rs.p99_ewma += hedge.alpha * (batch_p99 - rs.p99_ewma)
-
-    def _launch_hedge(self, st, rs, recorded, arrivals, key_idx, is_get, now) -> None:
-        hedge = rs.spec.hedge
-        delay = max(hedge.min_delay_ns, rs.p99_ewma * hedge.multiplier)
-        # only requests still queued are worth duplicating: a batch wake
-        # serves a window retroactively, so predicted completions in the
-        # past already "responded" and the primary wins by definition
-        over = np.flatnonzero((recorded > delay) & (arrivals + recorded > now))
-        if len(over) == 0:
-            return
-        cap = max(1, int(hedge.max_fraction * len(recorded)))
-        if len(over) > cap:
-            # worst predicted latencies first; stable sort keeps ties
-            # in arrival order so the pick is deterministic
-            order = np.argsort(recorded[over], kind="stable")[::-1]
-            over = over[order[:cap]]
-            over.sort()
-        k = len(over)
-        st.hedges += k
-        if _TEL.enabled:
-            _TEL.tenant_add(st.spec.node, st.spec.name, "resilience.hedges", k)
-        arr_sub = arrivals[over]
-        parent = None
-        if _TEL.tracing:
-            cur = _TEL.trace.current()
-            parent = cur.span_id if cur is not None else None
-        op = _HedgeOp(
-            engine=self,
-            st=st,
-            rs=rs,
-            latency_arr=recorded,
-            idx=over,
-            arrivals=arr_sub,
-            key_idx=key_idx[over],
-            is_get=is_get[over],
-            primary_latency=recorded[over].copy(),
-            fire_ns=max(now, float(arr_sub[0]) + delay),
-            parent_span=parent,
-        )
-        primary_done = float(np.max(arr_sub + op.primary_latency))
-        # primary scheduled first: on a tie the response already in
-        # hand wins and the duplicate is never sent
-        op.ev_primary = self.events.at(primary_done, op.primary_wins)
-        op.ev_hedge = self.events.at(op.fire_ns, op.fire, node=rs.spec.replica_node)
-        self._hedge_ops.add(op)
-
-    def finalize(self) -> None:
-        """Resolve in-flight hedges (primary stands) and cancel their
-        events — call before treating a report as final."""
-        for op in list(self._hedge_ops):
-            op.primary_wins()
-
-
-# -- chaos under load ----------------------------------------------------------
+from .traffic import TrafficEngine, TrafficReport
+from .traffic import default_spec  # noqa: F401  (importable from here too)
+
+#: the fault-tolerant request path is the traffic engine itself; the
+#: old name stays importable for callers that spell it out
+ResilientTrafficEngine = TrafficEngine
 
 
 @dataclass
@@ -759,7 +82,7 @@ class ChaosUnderLoad:
         self.kernel = kernel
         self.engine = engine
         self.campaign = campaign
-        self.health = health if health is not None else getattr(kernel, "health", None)
+        self.health = health if health is not None else kernel.health
         self.control_period_ns = float(control_period_ns)
         self.events = engine.events
         # reuse the step-runner's action handlers + seeded RNG contract
@@ -780,7 +103,7 @@ class ChaosUnderLoad:
         ]
         fired: List[str] = []
         tel_baseline = _TEL.registry.counter_baseline() if _TEL.enabled else None
-        breaker_mark = len(getattr(self.engine, "breaker_log", []))
+        breaker_mark = len(self.engine.breaker_log)
 
         chaos_events = []
         for ev in self.campaign.events:
@@ -803,13 +126,12 @@ class ChaosUnderLoad:
             control.cancel()
             for ev in chaos_events:
                 EventCore.cancel(ev)
-        if hasattr(self.engine, "finalize"):
-            self.engine.finalize()
+        self.engine.finalize()
         self.sync_recorder()
         unfired = len(self.campaign.events) - len(fired)
         if unfired:
             lines.append(f"unfired={unfired}")
-        breakers = list(getattr(self.engine, "breaker_log", [])[breaker_mark:])
+        breakers = self.engine.breaker_log[breaker_mark:]
         if breakers:
             lines.append("-- breaker transitions --")
             lines.extend(breakers)
@@ -841,9 +163,7 @@ class ChaosUnderLoad:
             return
         for line in self.health.tick(self.kernel.machine.max_time()):
             lines.append(f"t={self.events.now_ns:.1f} {line}")
-        feed = getattr(self.engine, "feed_health_alerts", None)
-        if feed is not None:
-            feed(self.health)
+        self.engine.feed_health_alerts(self.health)
         self.sync_recorder()
 
     def sync_recorder(self) -> None:
@@ -852,16 +172,15 @@ class ChaosUnderLoad:
         Pushes breaker transitions not yet recorded and a per-tenant
         resilience-counter sample whenever the counters moved since the
         last sync — so a crash dump shows *mitigation in flight*, not
-        just the detection side.  Idempotent; safe on base engines.
+        just the detection side.  Idempotent.
         """
         if self.health is None:
             return
         rec = self.health.recorder
-        events = getattr(self.engine, "breaker_events", None)
-        if events is not None:
-            for event in events[self._breaker_synced:]:
-                rec.record_breaker(event)
-            self._breaker_synced = len(events)
+        events = self.engine.breaker_events
+        for event in events[self._breaker_synced:]:
+            rec.record_breaker(event)
+        self._breaker_synced = len(events)
         now = self.events.now_ns
         for name in sorted(self.engine.tenants):
             st = self.engine.tenants[name]

@@ -44,7 +44,7 @@ class YcsbWorkload:
         self.keys = KeyGenerator(
             config.n_keys, "zipf", zipf_s=config.zipf_s, seed=config.seed
         )
-        self.values = ValueGenerator(config.value_size, seed=config.seed)
+        self.values = ValueGenerator(config.value_size)
         self.rng = np.random.default_rng(config.seed + 17)
         #: insert cursor for workload D ("read latest")
         self._inserted = config.n_keys

@@ -16,7 +16,7 @@ from repro.workloads import KeyGenerator, ValueGenerator
 
 def _records(n_mappers=2, per_mapper=40, value_size=64):
     keys = KeyGenerator(10_000, seed=3)
-    values = ValueGenerator(value_size, seed=3)
+    values = ValueGenerator(value_size)
     return {
         m: [
             (keys.key(m * per_mapper + i), values.value_for(keys.key(m * per_mapper + i)))

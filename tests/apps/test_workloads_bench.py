@@ -46,7 +46,7 @@ class TestValueGenerator:
         assert gen.value_for(b"a") != gen.value_for(b"b")
 
     def test_lognormal_sizes_vary(self):
-        gen = ValueGenerator(size=100, sigma=1.0, seed=5)
+        gen = ValueGenerator(size=100, sigma=1.0)
         sizes = {len(gen.value_for(b"k%d" % i)) for i in range(50)}
         assert len(sizes) > 10
 
@@ -84,7 +84,7 @@ class TestRequestStream:
 def test_stream_is_reproducible(n_keys, count, seed):
     def run():
         stream = RequestStream(
-            KeyGenerator(n_keys, seed=seed), ValueGenerator(16, seed=seed), seed=seed
+            KeyGenerator(n_keys, seed=seed), ValueGenerator(16), seed=seed
         )
         return [(r.op, r.key, r.value) for r in stream.generate(count)]
 

@@ -127,8 +127,8 @@ def _run_eviction_pattern() -> Tuple[List[Tuple[str, int, float]], Dict[str, Tup
 def _run_fault_pattern() -> List[Tuple[str, int, int, float]]:
     """Seeded fault-injecting run; returns the full FaultLog sequence.
 
-    Uses only cached ops, atomics, and bypass *loads* so the recorded
-    event times are independent of the ``_charge_bulk`` write-flag fix.
+    Uses only cached ops, atomics, and bypass *loads*, so the recorded
+    event times do not depend on how bypass stores are priced.
     """
     cfg = RackConfig(
         n_nodes=2,

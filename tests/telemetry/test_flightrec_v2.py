@@ -15,8 +15,7 @@ from repro.telemetry.health.recorder import (
     FlightRecorder,
     load_dump,
 )
-from repro.workloads import TenantSpec
-from repro.workloads.resilience import ChaosUnderLoad, ResilientTrafficEngine, default_spec
+from repro.workloads import ChaosUnderLoad, TenantSpec, TrafficEngine, default_spec
 
 pytestmark = pytest.mark.health
 
@@ -46,9 +45,8 @@ def _dump(seed=7):
         rig = build_rig(n_nodes=2)
         recorder = FlightRecorder(capacity_windows=128, span_tail=128)
         health = rig.kernel.attach_health(recorder=recorder)
-        eng = ResilientTrafficEngine(rig.kernel, _tenants(),
-                                     resilience=default_spec(replica_node=1),
-                                     seed=seed)
+        eng = TrafficEngine(rig.kernel, _tenants(),
+                            resilience=default_spec(replica_node=1), seed=seed)
         cul = ChaosUnderLoad(rig.kernel, eng, _campaign(), health=health)
         cul.run(duration_ns=25e6)
         health.tick(rig.machine.max_time())

@@ -14,8 +14,7 @@ from repro.core.backoff import BackoffPolicy
 from repro.core.ipc import IpcSystem, NameRegistry, RpcSystem
 from repro.flacdk.sync import OperationLog
 from repro.telemetry import TELEMETRY, STACK_PARENT, TraceBuffer
-from repro.workloads import TenantSpec
-from repro.workloads.resilience import HedgePolicy, ResilienceSpec, ResilientTrafficEngine
+from repro.workloads import HedgePolicy, ResilienceSpec, TenantSpec, TrafficEngine
 
 pytestmark = pytest.mark.telemetry
 
@@ -95,7 +94,7 @@ def _hedging_run(seed=11, tracing=False):
                           max_backlog_ns=1e9)]
     if tracing:
         telemetry.enable(tracing=True)
-    eng = ResilientTrafficEngine(rig.kernel, tenants, resilience=spec, seed=seed)
+    eng = TrafficEngine(rig.kernel, tenants, resilience=spec, seed=seed)
     rep = eng.run(max_requests=30_000)
     eng.finalize()
     return eng, rep

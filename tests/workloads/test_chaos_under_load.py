@@ -1,17 +1,21 @@
 """Chaos-under-load campaigns: seeded faults interleaved with open-loop
 traffic on one event heap, journals byte-identical per seed."""
 
+from types import SimpleNamespace
+
 import pytest
 
 import repro.telemetry as tel
 from repro.bench.harness import build_rig
 from repro.chaos.schedule import ChaosCampaign, event
 from repro.telemetry.health import FlightRecorder
-from repro.workloads import TenantSpec, TrafficEngine
-from repro.workloads.resilience import (
+from repro.workloads import (
     DISABLED,
     ChaosUnderLoad,
-    ResilientTrafficEngine,
+    HedgePolicy,
+    ResilienceSpec,
+    TenantSpec,
+    TrafficEngine,
     default_spec,
 )
 
@@ -44,8 +48,7 @@ def _run(spec, seed=7, max_requests=40_000, campaign=None, health=False):
     rig = build_rig(n_nodes=2)
     if health:
         rig.kernel.attach_health()
-    eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=spec,
-                                 seed=seed)
+    eng = TrafficEngine(rig.kernel, _tenants(), resilience=spec, seed=seed)
     cul = ChaosUnderLoad(rig.kernel, eng, campaign or _crash_campaign())
     return cul.run(max_requests=max_requests)
 
@@ -111,8 +114,7 @@ class TestCampaignMechanics:
 
     def test_requires_at_ns_triggers(self):
         rig = build_rig(n_nodes=2)
-        eng = ResilientTrafficEngine(rig.kernel, _tenants(), resilience=DISABLED,
-                                     seed=1)
+        eng = TrafficEngine(rig.kernel, _tenants(), seed=1)
         camp = ChaosCampaign(name="step", seed=1, events=(
             event("node_crash", at_step=3, node=0),
         ))
@@ -120,9 +122,10 @@ class TestCampaignMechanics:
             ChaosUnderLoad(rig.kernel, eng, camp)
 
     def test_works_with_base_engine_too(self):
-        """The runner composes with the plain engine (no resilience
-        plumbing): a campaign with only link flaps on a non-tenant node
-        runs to completion and journals deterministically."""
+        """The runner composes with an engine on the default spec (no
+        retries, hedges or breakers): a campaign with only link flaps on
+        a non-tenant node runs to completion and journals
+        deterministically."""
         camp = ChaosCampaign(name="flap", seed=5, events=(
             event("link_down", at_ns=2e6, node=1),
             event("link_up", at_ns=4e6, node=1),
@@ -178,10 +181,12 @@ def _scrub_rig():
 
 
 class _LineHealth:
-    """A health engine stand-in that reports one line per tick."""
+    """A health engine stand-in that reports one line per tick and
+    holds the given SLO alerts (none by default) active throughout."""
 
-    def __init__(self):
+    def __init__(self, alerts=None):
         self.recorder = FlightRecorder()
+        self.slo = SimpleNamespace(active=dict(alerts or {}))
         self.ticks = 0
 
     def tick(self, now_ns):
@@ -220,3 +225,35 @@ class TestControlEvent:
         assert health.ticks == 3
         for k in range(1, 4):
             assert f"t={k * 1e6:.1f} health tick={k}\n" in rep.journal
+
+    def test_active_slo_alerts_trip_breakers(self):
+        """The control event feeds active SLO alerts to the engine's
+        breakers: an alert on node 0 opens the primary's breaker at the
+        first tick, and traffic fails over to the replica."""
+        rig = build_rig(n_nodes=2)
+        eng = TrafficEngine(rig.kernel, _tenants(),
+                            resilience=default_spec(replica_node=1), seed=7)
+        health = _LineHealth(alerts={("availability", 0): object()})
+        rep = ChaosUnderLoad(rig.kernel, eng, _late_campaign(),
+                             health=health).run(duration_ns=3e6)
+        assert sorted(rep.breaker_transitions) == [
+            f"breaker tenant={name} target=0 closed->open t={1e6:.1f} "
+            "reason=slo:availability"
+            for name in ("batch", "web")
+        ]
+        assert rep.traffic.tenants["web"]["failovers"] > 0
+
+    def test_in_flight_hedges_resolved_when_run_returns(self):
+        """``run()`` resolves hedges still racing at its bound (the
+        primary result stands), so none outlives the run."""
+        rig = build_rig(n_nodes=2)
+        tenants = [TenantSpec(name="web", rate_rps=5e6, node=0, n_keys=256,
+                              max_backlog_ns=1e9)]
+        spec = ResilienceSpec(
+            hedge=HedgePolicy(min_delay_ns=2_000.0, max_fraction=0.1),
+            replica_node=1,
+        )
+        eng = TrafficEngine(rig.kernel, tenants, resilience=spec, seed=11)
+        rep = ChaosUnderLoad(rig.kernel, eng, _late_campaign()).run(max_requests=30_000)
+        assert rep.traffic.tenants["web"]["hedges"] > 0
+        assert not eng._hedge_ops

@@ -9,7 +9,7 @@ from repro.workloads.generators import KeyGenerator, RequestStream, ValueGenerat
 def _stream(sigma: float = 0.0, seed: int = 5) -> RequestStream:
     return RequestStream(
         KeyGenerator(256, distribution="zipf", zipf_s=1.2, seed=seed),
-        ValueGenerator(size=64, sigma=sigma, seed=seed),
+        ValueGenerator(size=64, sigma=sigma),
         get_ratio=0.7,
         seed=seed,
     )
@@ -49,7 +49,7 @@ def test_preload_then_generate_equals_generate():
 
 
 def test_lognormal_sizes_vary_by_key_but_not_by_call():
-    values = ValueGenerator(size=64, sigma=1.0, seed=0)
+    values = ValueGenerator(size=64, sigma=1.0)
     keys = [b"key:%d" % i for i in range(200)]
     sizes_a = [len(values.value_for(k)) for k in keys]
     sizes_b = [len(values.value_for(k)) for k in keys]

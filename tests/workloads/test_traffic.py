@@ -8,7 +8,6 @@ from repro.bench.harness import build_rig
 from repro.telemetry.dashboard import render_tenants
 from repro.workloads.traffic import (
     AdmissionError,
-    NaivePollingDriver,
     RedisBackend,
     ServerlessBackend,
     TenantSpec,
@@ -245,14 +244,3 @@ class TestBackends:
         rep = eng.run(max_requests=200)
         assert rep.tenants["fn"]["admitted"] > 0
         assert platform.warm_pool_size("traffic-fn") >= 0  # function deployed
-
-
-class TestNaiveBaseline:
-    def test_naive_driver_serves_requests(self):
-        rig = build_rig()
-        driver = NaivePollingDriver(
-            rig.kernel,
-            [TenantSpec(name="n", rate_rps=100_000.0, n_clients=200, node=0)],
-            seed=1, tick_ns=200_000.0,
-        )
-        assert driver.run_ticks(50) > 0
